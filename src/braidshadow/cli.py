@@ -12,10 +12,11 @@ File kinds:
 
 Long computations (shadows, component, diamond, catalog, genuine, mainline)
 go through a content-addressed cache: the key hashes the canonical input
-documents plus the semantic flags, never labels alone and never thread
-counts, so re-running with different parallelism reuses results and yields
-byte-identical output.  Default directory ``.braidshadow-cache/``,
-overridable with ``--cache-dir`` or the BRAIDSHADOW_CACHE variable.
+documents plus the semantic flags, never labels alone and never the
+``--threads`` value (accepted for compatibility; enumeration is serial),
+so re-runs reuse results and yield byte-identical output.  Default
+directory ``.braidshadow-cache/``, overridable with ``--cache-dir`` or the
+BRAIDSHADOW_CACHE variable.
 
 Exit codes: 0 success, 1 domain error (cap exceeded, containment failures,
 invalid generator images), 2 usage or file errors.
@@ -76,6 +77,8 @@ def load_subgroup(path: str, max_group_size: int = DEFAULT_GROUP_SIZE_CAP) -> Nf
     if not isinstance(doc["label"], str):
         raise ValueError(f"{path}: label must be a string")
     degree = doc["degree"]
+    if not isinstance(degree, int) or isinstance(degree, bool) or degree < 1:
+        raise ValueError(f"{path}: degree must be a positive integer")
     images = []
     for key in ("sigma1", "sigma2"):
         arr = doc[key]
@@ -235,9 +238,7 @@ def _cmd_info(args) -> int:
 
 
 def _shadow_set_doc(args, N: NfiSubgroup) -> dict:
-    shadows = enumerate_shadows(
-        N, max_candidates=args.max_candidates, threads=args.threads
-    )
+    shadows = enumerate_shadows(N, max_candidates=args.max_candidates)
     return {
         "target": N.label,
         "n_ord": N.data.n_ord,
@@ -261,9 +262,7 @@ def _cmd_shadows(args) -> int:
 
 
 def _component_doc(args, N: NfiSubgroup) -> dict:
-    report = connected_component(
-        N, max_candidates=args.max_candidates, threads=args.threads
-    )
+    report = connected_component(N, max_candidates=args.max_candidates)
     order = sorted(
         range(len(report.objects)),
         key=lambda i: (report.objects[i].data.index_pb3, report.objects[i].content_id),
@@ -301,7 +300,7 @@ def _cmd_diamond(args) -> int:
     doc = _cached(
         args,
         {"command": "diamond", "subgroup": subgroup_doc(N)},
-        lambda: subgroup_doc(diamond(N, threads=args.threads)),
+        lambda: subgroup_doc(diamond(N)),
     )
     lines = [f"diamond of {N.label}: {doc['label']} (degree {doc['degree']})"]
     return _emit(args, doc, lines)
@@ -327,7 +326,7 @@ def _cmd_survive(args) -> int:
     H = _load(args)
     N = load_subgroup(args.finer, max_group_size=args.max_group_size)
     s = _shadow_from_args(args, H)
-    ok = survives(s, N, threads=args.threads)
+    ok = survives(s, N)
     doc = {"survives": ok, "shadow": shadow_doc(s), "into": N.label}
     verb = "survives" if ok else "does not survive"
     return _emit(args, doc, [f"(m={s.m}, f={args.f or '1'}) {verb} into {N.label}"])
@@ -338,12 +337,8 @@ def _cmd_genuine(args) -> int:
     s = _shadow_from_args(args, N)
 
     def compute():
-        catalog = catalog_search(
-            args.max_degree,
-            max_group_size=args.max_group_size,
-            threads=args.threads,
-        )
-        verdict = genuine_to_depth(s, catalog, threads=args.threads)
+        catalog = catalog_search(args.max_degree, max_group_size=args.max_group_size)
+        verdict = genuine_to_depth(s, catalog)
         return {
             "verdict": verdict.kind,
             "checked": [entry.label for entry in verdict.checked],
@@ -374,17 +369,11 @@ def _cmd_genuine(args) -> int:
 
 def _cmd_catalog(args) -> int:
     def compute():
-        entries = catalog_search(
-            args.max_degree,
-            max_group_size=args.max_group_size,
-            threads=args.threads,
-        )
+        entries = catalog_search(args.max_degree, max_group_size=args.max_group_size)
         out = []
         for entry in entries:
             d = entry.data
-            shadows = enumerate_shadows(
-                entry, max_candidates=args.max_candidates, threads=args.threads
-            )
+            shadows = enumerate_shadows(entry, max_candidates=args.max_candidates)
             out.append(
                 {
                     "subgroup": subgroup_doc(entry),
@@ -428,7 +417,7 @@ def _cmd_mainline(args) -> int:
     ]
 
     def compute():
-        diagram, limit = main_line_limit(catalog, threads=args.threads)
+        diagram, limit = main_line_limit(catalog)
         group_docs = []
         indexers = []
         for i, obj in enumerate(diagram.poset_objects):
@@ -489,7 +478,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cap on an enumeration grid",
     )
     common.add_argument(
-        "--threads", type=int, default=1, help="worker threads for enumeration"
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility; enumeration is serial",
     )
 
     parser = argparse.ArgumentParser(
@@ -583,6 +575,11 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for flag in ("threads", "max_candidates", "max_group_size"):
+            value = getattr(args, flag)
+            if value < 1:
+                name = "--" + flag.replace("_", "-")
+                raise ValueError(f"{name} must be at least 1, got {value}")
         return args.func(args)
     except BraidshadowError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -4,6 +4,9 @@ Connected components, isolated objects, the diamond (intersection of a
 component), reduction maps between comparable targets, survival, the
 finite-depth fake-shadow search, and limits of reduction diagrams over a
 finite poset of isolated objects.
+
+Every ``threads`` parameter is accepted for compatibility and ignored:
+enumeration is serial.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ def connected_component(
     cursor = 0
     while cursor < len(objects):
         target = objects[cursor]
-        for s in enumerate_shadows(target, threads=threads, **kwargs):
+        for s in enumerate_shadows(target, **kwargs):
             src_idx = find_or_add(shadow_source(s))
             morphisms.setdefault((src_idx, cursor), []).append(s)
         cursor += 1
@@ -89,9 +92,7 @@ def connected_component(
 
 def is_isolated(N: NfiSubgroup, threads: int = 1) -> bool:
     """True iff every shadow with target N is settled (source = target)."""
-    return all(
-        nfi_equal(shadow_source(s), N) for s in enumerate_shadows(N, threads=threads)
-    )
+    return all(nfi_equal(shadow_source(s), N) for s in enumerate_shadows(N))
 
 
 def diamond(N: NfiSubgroup, threads: int = 1) -> NfiSubgroup:
@@ -100,11 +101,11 @@ def diamond(N: NfiSubgroup, threads: int = 1) -> NfiSubgroup:
     Both halves of the contract are rechecked before returning: the result
     is contained in N and its own shadows are all settled.
     """
-    report = connected_component(N, threads=threads)
+    report = connected_component(N)
     result = report.diamond
     if not nfi_contains(result, N):
         raise InternalInconsistencyError("diamond is not contained in N")
-    if not is_isolated(result, threads=threads):
+    if not is_isolated(result):
         raise InternalInconsistencyError("diamond failed the isolation recheck")
     return result
 
@@ -138,9 +139,7 @@ def survives(s: GtShadow, N: NfiSubgroup, threads: int = 1) -> bool:
             f"{N.label} is not contained in {s.target.label}; "
             "survival is only defined downward"
         )
-    return any(
-        reduce_shadow(t, s.target) == s for t in enumerate_shadows(N, threads=threads)
-    )
+    return any(reduce_shadow(t, s.target) == s for t in enumerate_shadows(N))
 
 
 @dataclass
@@ -173,10 +172,7 @@ def genuine_to_depth(
     for entry in catalog:
         if not nfi_contains(entry, s.target):
             continue
-        image = [
-            reduce_shadow(t, s.target)
-            for t in enumerate_shadows(entry, threads=threads)
-        ]
+        image = [reduce_shadow(t, s.target) for t in enumerate_shadows(entry)]
         if s not in image:
             return Verdict(
                 kind="fake", checked=checked + [entry], witness=entry,
@@ -211,7 +207,7 @@ def main_line_limit(
     deterministic order.
     """
     for entry in catalog:
-        if not is_isolated(entry, threads=threads):
+        if not is_isolated(entry):
             raise BraidshadowError(
                 f"main line requires isolated objects; {entry.label} is not"
             )
@@ -220,9 +216,7 @@ def main_line_limit(
         key=lambda i: (catalog[i].data.index_pb3, catalog[i].content_id),
     )
     objects = [catalog[i] for i in order]
-    groups = {
-        i: enumerate_shadows(obj, threads=threads) for i, obj in enumerate(objects)
-    }
+    groups = {i: enumerate_shadows(obj) for i, obj in enumerate(objects)}
     edges: dict[tuple[int, int], dict[GtShadow, GtShadow]] = {}
     for i, finer in enumerate(objects):
         for j, coarser in enumerate(objects):

@@ -338,6 +338,16 @@ def _image_order(images: tuple[Permutation, ...], max_size: int) -> int:
     return closure_order(images, max_size=max_size)
 
 
+def _paired_order(hom1: GenHom, hom2: GenHom, max_size: int) -> int:
+    """|im(hom1 x hom2)|, the paired closure behind both kernel tests."""
+    if hom1.domain_tag != hom2.domain_tag:
+        raise DomainTagMismatchError(
+            f"domain mismatch: {hom1.domain_tag} vs {hom2.domain_tag}"
+        )
+    paired = tuple(block_sum(p, q) for p, q in zip(hom1.images, hom2.images))
+    return _image_order(paired, max_size)
+
+
 def kernel_contained(
     hom1: GenHom, hom2: GenHom, max_size: int = DEFAULT_GROUP_SIZE_CAP
 ) -> bool:
@@ -348,27 +358,18 @@ def kernel_contained(
     killed by hom2.  So the kernels nest iff the paired image is no bigger
     than im(hom1).
     """
-    if hom1.domain_tag != hom2.domain_tag:
-        raise DomainTagMismatchError(
-            f"domain mismatch: {hom1.domain_tag} vs {hom2.domain_tag}"
-        )
-    paired = tuple(block_sum(p, q) for p, q in zip(hom1.images, hom2.images))
-    return _image_order(paired, max_size) == _image_order(hom1.images, max_size)
+    return _paired_order(hom1, hom2, max_size) == _image_order(hom1.images, max_size)
 
 
 def kernels_equal(
     hom1: GenHom, hom2: GenHom, max_size: int = DEFAULT_GROUP_SIZE_CAP
 ) -> bool:
     """ker(hom1) == ker(hom2); one paired closure instead of two."""
-    if hom1.domain_tag != hom2.domain_tag:
-        raise DomainTagMismatchError(
-            f"domain mismatch: {hom1.domain_tag} vs {hom2.domain_tag}"
-        )
-    paired = tuple(block_sum(p, q) for p, q in zip(hom1.images, hom2.images))
-    paired_order = _image_order(paired, max_size)
-    return paired_order == _image_order(
-        hom1.images, max_size
-    ) and paired_order == _image_order(hom2.images, max_size)
+    return (
+        _paired_order(hom1, hom2, max_size)
+        == _image_order(hom1.images, max_size)
+        == _image_order(hom2.images, max_size)
+    )
 
 
 def is_generating_set(G: GeneratedGroup, elems: Iterable[Permutation]) -> bool:

@@ -14,7 +14,6 @@ of targets.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 
 from .errors import (
     BraidRelationError,
@@ -145,8 +144,14 @@ def _t_f2_onto(N: NfiSubgroup, m: int, f: FreeWord) -> bool:
 
 
 def is_shadow(N: NfiSubgroup, m: int, f: FreeWord) -> bool:
-    """Full membership test: unit, commutator coset, hexagons, surjectivity."""
+    """Full membership test: unit, commutator coset, hexagons, surjectivity.
+
+    m is reduced mod N_ord before any word is built.  That is exact: x, y
+    and c have orders dividing N_ord, sigma_i^(2m+1) = sigma_i (sigma_i^2)^m,
+    and gcd(2m+1, N_ord) only depends on m mod N_ord.
+    """
     d = N.data
+    m %= d.n_ord
     if math.gcd(2 * m + 1, d.n_ord) != 1:
         return False
     if d.f2_quotient.evaluate(f) not in d.f2_commutator:
@@ -203,9 +208,6 @@ def shadow_source(s: GtShadow) -> NfiSubgroup:
     return s._source
 
 
-_GT_CACHE: dict[str, list[GtShadow]] = {}
-
-
 def enumerate_shadows(
     N: NfiSubgroup,
     max_candidates: int = DEFAULT_CANDIDATE_CAP,
@@ -215,37 +217,25 @@ def enumerate_shadows(
 
     The candidate grid is {unit residues} x {commutator subgroup of
     F2/N_F2}; each candidate passes through the simplified hexagons and
-    then the surjectivity test.  Results are memoized per target content.
+    then the surjectivity test.  The cap is checked on every call, then the
+    result is memoized on N itself, so every shadow returned has target N.
+    Enumeration is serial; ``threads`` is accepted for compatibility and
+    ignored.
     """
-    cached = _GT_CACHE.get(N.content_id)
-    if cached is not None:
-        return list(cached)
     d = N.data
     units = [m for m in range(d.n_ord) if math.gcd(2 * m + 1, d.n_ord) == 1]
     total = len(units) * d.f2_commutator.order
     if total > max_candidates:
         raise CandidateCapExceeded(max_candidates, total)
-    candidates = [
-        (m, elt) for m in units for elt in d.f2_commutator.elements_in_order
-    ]
-
-    def accept(candidate: tuple[int, Permutation]) -> GtShadow | None:
-        m, elt = candidate
-        f_word = d.f2_commutator.word_of(elt)
-        if not check_simplified_hexagons(N, m, f_word):
-            return None
-        if not _t_f2_onto(N, m, f_word):
-            return None
-        return GtShadow(N, m, f_word, elt)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(accept, candidates))
-    else:
-        results = [accept(c) for c in candidates]
-    shadows = [s for s in results if s is not None]
-    _GT_CACHE[N.content_id] = shadows
-    return list(shadows)
+    if N._shadows is None:
+        shadows = []
+        for m in units:
+            for elt in d.f2_commutator.elements_in_order:
+                f = d.f2_commutator.word_of(elt)
+                if check_simplified_hexagons(N, m, f) and _t_f2_onto(N, m, f):
+                    shadows.append(GtShadow(N, m, f, elt))
+        N._shadows = shadows
+    return list(N._shadows)
 
 
 def compose_shadows(s1: GtShadow, s2: GtShadow) -> GtShadow:

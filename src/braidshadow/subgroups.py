@@ -14,7 +14,7 @@ import itertools
 import json
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
+import weakref
 from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError, KernelNotInPb3Error
@@ -80,7 +80,9 @@ class NfiSubgroup:
     """An element of the poset of finite-index normal subgroups inside PB3.
 
     Equality and hashing compare the stored *realization* (degree and
-    generator images); use :func:`nfi_equal` for kernel equality.
+    generator images); use :func:`nfi_equal` for kernel equality.  State
+    derived from N (its quotient data and its shadow list) lives on the
+    object and is dropped with it.
     """
 
     def __init__(self, hom: GenHom, label: str, max_group_size: int = DEFAULT_GROUP_SIZE_CAP):
@@ -89,6 +91,7 @@ class NfiSubgroup:
         self.max_group_size = max_group_size
         self.content_id = content_id(hom.images)
         self._data: QuotientData | None = None
+        self._shadows = None  # GT(N), memoized by shadows.enumerate_shadows
 
     @property
     def degree(self) -> int:
@@ -126,14 +129,17 @@ class NfiSubgroup:
         return hash(self.hom.images)
 
 
-_DATA_CACHE: dict[tuple[GenHom, int], QuotientData] = {}
+# (hom, max_size) -> QuotientData.  Equal live realizations share one
+# QuotientData; once no subgroup holds it, it is freed.
+_DATA_CACHE = weakref.WeakValueDictionary()
 
 
 def _quotient_data_cached(hom: GenHom, max_size: int) -> QuotientData:
     key = (hom, max_size)
-    if key not in _DATA_CACHE:
-        _DATA_CACHE[key] = _compute_quotient_data(hom, max_size)
-    return _DATA_CACHE[key]
+    data = _DATA_CACHE.get(key)
+    if data is None:
+        data = _DATA_CACHE[key] = _compute_quotient_data(hom, max_size)
+    return data
 
 
 def _compute_quotient_data(hom: GenHom, max_size: int) -> QuotientData:
@@ -307,49 +313,33 @@ def catalog_search(
     """Distinct kernels from braid-relation pairs of degree <= max_degree.
 
     Every pair is adjoined to rho on three extra points, which forces the
-    kernel into PB3 by construction.  Deduplication buckets by the cheap
-    invariants (index_pb3, n_ord, index_f2) before paying for kernel
-    equality.  Output is sorted by (index_pb3, content_id) and relabeled
-    cat00, cat01, ... so repeated runs agree byte for byte.
+    kernel into PB3 by construction.  The scan is serial (``threads`` is
+    accepted for compatibility and ignored) and deduplicates as it goes:
+    each candidate is bucketed by the cheap invariants (index_pb3, n_ord,
+    index_f2) and compared by kernel equality only within its bucket, so
+    only kept candidates stay alive.  Output is sorted by (index_pb3,
+    content_id) and relabeled cat00, cat01, ... so repeated runs agree
+    byte for byte.
     """
     if max_degree < 1 or max_degree > degree_limit:
         raise ValueError(
             f"max_degree must be in 1..{degree_limit}, got {max_degree}"
         )
     r1, r2 = rho().images
-
-    def build(pair: tuple[Permutation, Permutation]) -> NfiSubgroup:
-        p, q = pair
-        return new_nfi(
-            (block_sum(p, r1), block_sum(q, r2)),
-            label=f"tmp-{p.images}-{q.images}",
-            max_group_size=max_group_size,
-        )
-
-    candidates: list[NfiSubgroup] = []
-    for degree in range(1, max_degree + 1):
-        pairs = list(_braid_pairs(degree))
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                candidates.extend(pool.map(build, pairs))
-        else:
-            candidates.extend(build(pair) for pair in pairs)
-
     buckets: dict[tuple[int, int, int], list[NfiSubgroup]] = {}
     kept: list[NfiSubgroup] = []
-    for cand in candidates:
-        d = cand.data
-        key = (d.index_pb3, d.n_ord, d.index_f2)
-        bucket = buckets.setdefault(key, [])
-        if any(nfi_equal(cand, existing) for existing in bucket):
-            continue
-        bucket.append(cand)
-        kept.append(cand)
+    for degree in range(1, max_degree + 1):
+        for p, q in _braid_pairs(degree):
+            cand = new_nfi(
+                (block_sum(p, r1), block_sum(q, r2)), max_group_size=max_group_size
+            )
+            d = cand.data
+            bucket = buckets.setdefault((d.index_pb3, d.n_ord, d.index_f2), [])
+            if not any(nfi_equal(cand, existing) for existing in bucket):
+                bucket.append(cand)
+                kept.append(cand)
 
     kept.sort(key=lambda s: (s.data.index_pb3, s.content_id))
-    out = []
     for i, entry in enumerate(kept):
-        relabeled = NfiSubgroup(entry.hom, f"cat{i:02d}", max_group_size=max_group_size)
-        relabeled._data = entry._data
-        out.append(relabeled)
-    return out
+        entry.label = f"cat{i:02d}"
+    return kept

@@ -143,19 +143,17 @@ def word_from_text(text: str, tag: str = TAG_F2) -> FreeWord:
 
 
 def apply_endo(w: FreeWord, images: tuple[FreeWord, ...]) -> FreeWord:
-    """Homomorphic substitution: letter i goes to images[i]."""
+    """Homomorphic substitution: letter i goes to images[i].
+
+    The images are only concatenated; the FreeWord constructor reduces.
+    """
     if not images:
         return w
-    tag = images[0].tag
+    inverses = [img.inv().letters for img in images]
     out: list[Letter] = []
     for g, s in w.letters:
-        img = images[g].letters if s > 0 else images[g].inv().letters
-        for lt in img:
-            if out and out[-1][0] == lt[0] and out[-1][1] == -lt[1]:
-                out.pop()
-            else:
-                out.append(lt)
-    return FreeWord(tag, tuple(out))
+        out.extend(images[g].letters if s > 0 else inverses[g])
+    return FreeWord(images[0].tag, tuple(out))
 
 
 def f2_endo_apply(w: FreeWord, x_image: FreeWord, y_image: FreeWord) -> FreeWord:
@@ -247,18 +245,17 @@ _STEP = {
 
 
 def _conj_letters_by_sigma(i: int, letters, c_exp: int):
-    """Conjugate an F2 word (given as letters) on the left by sigma_{i+1}."""
+    """Conjugate an F2 word (given as letters) on the left by sigma_{i+1}.
+
+    The letters come out unreduced; free reduction is left to FreeWord.
+    """
     out: list[Letter] = []
     for g, s in letters:
         img, dc = _CONJ[i][g]
         if s < 0:
             img, dc = tuple((a, -b) for a, b in reversed(img)), -dc
         c_exp += dc
-        for lt in img:
-            if out and out[-1][0] == lt[0] and out[-1][1] == -lt[1]:
-                out.pop()
-            else:
-                out.append(lt)
+        out.extend(img)
     return out, c_exp
 
 
@@ -301,27 +298,20 @@ def b3_normal_form(w: FreeWord) -> B3NormalForm:
     absorbed through the _STEP table.  A negative letter sigma_i^-1 is first
     replaced by (x or y)^-1 sigma_i and the F2 letter pushed out to the left
     through the pending transversal word via the conjugation identities.
+    The F2 prefix is freely reduced once, when it becomes a FreeWord.
     """
     if w.tag != TAG_B3:
         raise ValueError("b3_normal_form expects a braid word")
     prefix: list[Letter] = []
-
-    def push(extra):
-        for lt in extra:
-            if prefix and prefix[-1][0] == lt[0] and prefix[-1][1] == -lt[1]:
-                prefix.pop()
-            else:
-                prefix.append(lt)
-
     c_exp = 0
     label = "e"
     for g, s in w.letters:
         if s < 0:
             moved, dc = _conj_by_transversal(label, ((g, -1),))
-            push(moved)
+            prefix.extend(moved)
             c_exp += dc
         out, dc, label = _STEP[(label, g)]
-        push(out)
+        prefix.extend(out)
         c_exp += dc
     return B3NormalForm(FreeWord(TAG_F2, tuple(prefix)), c_exp, label)
 
@@ -399,13 +389,6 @@ def all_reduced_words(tag: str, max_len: int, n_gens: int = 2):
 
     if max_len >= 1:
         yield from rec([], max_len)
-
-
-def count_candidates(*sizes: int) -> int:
-    out = 1
-    for s in sizes:
-        out *= s
-    return out
 
 
 def _selfcheck():  # pragma: no cover - exercised via tests

@@ -231,6 +231,67 @@ def test_mainline(files, tmp_path, capsys):
     assert "cat04: |GT| = 6" in out
 
 
+def test_mainline_twin_reports_its_own_label(files, tmp_path, catalog4, capsys):
+    twin = write_json(
+        tmp_path, "twin02.json", dict(subgroup_doc(catalog4[2]), label="twin02")
+    )
+    out = tmp_path / "mainline.json"
+    code = run_command(
+        ["mainline", files["cat02"], twin, "--json", str(out),
+         "--cache-dir", str(tmp_path / "c")]
+    )
+    assert code == 0
+    doc = json.loads(out.read_text())
+    labels = [obj["label"] for obj in doc["objects"]]
+    assert labels == ["cat02", "twin02"]
+    for label, group in zip(labels, doc["groups"]):
+        assert {sd["source_label"] for sd in group} == {label}
+    capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# outside input is checked at the boundary
+
+@pytest.mark.parametrize(
+    "flags, degree, images",
+    [
+        (["--threads", "0"], None, None),
+        (["--max-candidates", "-5"], None, None),
+        (["--max-group-size", "0"], None, None),
+        ([], True, [0]),
+        ([], 0, []),
+    ],
+    ids=["threads-0", "max-candidates-negative", "max-group-size-0",
+         "degree-true", "degree-0"],
+)
+def test_bad_input_exits_two_with_one_line(
+    files, tmp_path, catalog4, capsys, flags, degree, images
+):
+    path = files["cat02"]
+    if degree is not None:
+        doc = dict(subgroup_doc(catalog4[2]), degree=degree)
+        doc["sigma1"] = doc["sigma2"] = images
+        path = write_json(tmp_path, "bad.json", doc)
+    code = run_command(["shadows", path, *flags, "--cache-dir", str(tmp_path / "c")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, target, other", [
+    ("reduce", "cat04", "cat02"),  # other is coarser than the target
+    ("survive", "cat02", "cat04"),  # other is finer than the target
+])
+def test_huge_m_ends_without_traceback(files, tmp_path, capsys, command, target, other):
+    code = run_command(
+        [command, files[target], files[other], "-m", "99999999999999999999",
+         "--cache-dir", str(tmp_path / "c")]
+    )
+    assert code in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # cache behavior
 

@@ -155,6 +155,23 @@ def test_candidate_cap(catalog4):
     assert exc.value.count == 8  # two unit residues times four commutator cosets
 
 
+def test_candidate_cap_is_checked_on_a_memo_hit(catalog4):
+    N = catalog4[-1]
+    enumerate_shadows(N)
+    with pytest.raises(CandidateCapExceeded):
+        enumerate_shadows(N, max_candidates=1)
+
+
+def test_equal_realizations_keep_their_own_shadows(catalog4):
+    images = catalog4[-1].hom.images
+    alpha = NfiSubgroup(GenHom("B3", images), "alpha")
+    beta = NfiSubgroup(GenHom("B3", images), "beta")
+    assert enumerate_shadows(alpha) == enumerate_shadows(beta)
+    for s in enumerate_shadows(beta):
+        assert s.target is beta
+        assert shadow_source(s) is beta
+
+
 # ---------------------------------------------------------------------------
 # the induced endomorphism T
 

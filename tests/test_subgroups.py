@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import pytest
 
@@ -9,6 +11,7 @@ from braidshadow.errors import (
     KernelNotInPb3Error,
 )
 from braidshadow.perms import GenHom, Permutation, block_sum, kernel_contained
+from braidshadow.shadows import enumerate_shadows
 from braidshadow.subgroups import (
     NfiSubgroup,
     catalog_search,
@@ -87,6 +90,17 @@ def test_quotient_data_is_shared_between_equal_realizations():
     assert n1.data is n2.data
     assert n1 == n2  # realization equality
     assert hash(n1) == hash(n2)
+
+
+def test_dropped_subgroup_frees_its_quotient_data(catalog4):
+    pad = Permutation.identity(3)
+    g1, g2 = catalog4[-1].hom.images
+    N = new_nfi((block_sum(pad, g1), block_sum(pad, g2)), label="dropped")
+    enumerate_shadows(N)  # the shadow memo points back at N
+    data = weakref.ref(N.data)
+    del N
+    gc.collect()
+    assert data() is None
 
 
 def test_poset_relations(pb3, catalog4):
