@@ -101,7 +101,11 @@ def check_hexagons(N: NfiSubgroup, m: int, f: FreeWord) -> bool:
 
     sigma_1^(2m+1) f^-1 sigma_2^(2m+1) f  =  f^-1 sigma_1 sigma_2 x^-m c^m
     f^-1 sigma_2^(2m+1) f sigma_1^(2m+1)  =  sigma_2 sigma_1 y^-m c^m f
+
+    m is reduced mod N_ord first, which is exact: sigma_i^(2m+1) =
+    sigma_i (sigma_i^2)^m, and x, y and c have orders dividing N_ord.
     """
+    m %= N.data.n_ord
     k = 2 * m + 1
     femb = embed_f2_in_b3(f)
     conj = femb.inv() * SIGMA2**k * femb
@@ -119,8 +123,13 @@ def check_simplified_hexagons(N: NfiSubgroup, m: int, f: FreeWord) -> bool:
     """The two-membership form, valid when f is a commutator word:
 
     f theta(f) in N_F2   and   tau^2(y^m f) tau(y^m f) y^m f in N_F2.
+
+    m is reduced mod N_ord first, which is exact: tau(y^m) = (xy)^-m and
+    tau^2(y^m) = x^m, and x, y and xy have orders dividing N_ord mod N_F2
+    (yx = c z^-1 with z = sigma_2 x sigma_2^-1, and xy is conjugate to yx).
     """
     require_commutator_form(f)
+    m %= N.data.n_ord
     quotient = N.data.f2_quotient
     if not quotient.evaluate(f * theta(f)).is_identity():
         return False

@@ -289,7 +289,15 @@ def _braid_pairs(degree: int):
 
     p q p = q p q forces q = (pq) p (pq)^-1, so the two sides of a braid
     pair are conjugate; checking only same-cycle-type pairs cuts the grid
-    roughly sevenfold at degree 6 without losing anything.
+    roughly sevenfold at degree 6 without losing anything.  The relation is
+    tested on the image tuples (p q p sends i to p[q[p[i]]], p acting
+    first), so the scan builds no product permutations.
+
+    A transitive pair is the action of B3 on the cosets of an
+    index-``degree`` subgroup (the stabilizer of a point).  Relabelling the
+    points conjugates the action and leaves its kernel alone, so
+    ``catalog_search`` builds one candidate per relabelling class (see
+    :func:`_pair_class`).
     """
     perms = [Permutation(t) for t in itertools.permutations(range(degree))]
     by_type: dict[tuple[int, ...], list[Permutation]] = {}
@@ -298,10 +306,48 @@ def _braid_pairs(degree: int):
         t = tuple(sorted(p.cycle_lengths()))
         by_type.setdefault(t, []).append(p)
         types.append(t)
+    points = range(degree)
     for p, t in zip(perms, types):
+        a = p.images
         for q in by_type[t]:
-            if p * q * p == q * p * q:
+            b = q.images
+            if all(a[b[a[i]]] == b[a[b[i]]] for i in points):
                 yield p, q
+
+
+def _relabel(p: tuple[int, ...], q: tuple[int, ...], start: int):
+    """BFS from ``start`` along p then q: (visit order, relabelled pair)."""
+    label = {start: 0}
+    order = [start]
+    for i in order:
+        for j in (p[i], q[i]):
+            if j not in label:
+                label[j] = len(order)
+                order.append(j)
+    form = (tuple(label[p[i]] for i in order), tuple(label[q[i]] for i in order))
+    return order, form
+
+
+def _pair_class(p: Permutation, q: Permutation) -> tuple:
+    """A key shared exactly by the braid pairs with the same orbit classes.
+
+    Each orbit of <p, q> contributes the least BFS relabelling of (p, q)
+    restricted to it, over all start points in the orbit; the key is the
+    sorted tuple of the distinct orbit forms.  Pairs related by a
+    simultaneous relabelling get the same key, and so do pairs whose orbits
+    fall into the same classes with other multiplicities.
+    """
+    p, q = p.images, q.images
+    seen = [False] * len(p)
+    forms = set()
+    for root in range(len(p)):
+        if seen[root]:
+            continue
+        orbit, _ = _relabel(p, q, root)
+        for i in orbit:
+            seen[i] = True
+        forms.add(min(_relabel(p, q, start)[1] for start in orbit))
+    return tuple(sorted(forms))
 
 
 def catalog_search(
@@ -314,12 +360,22 @@ def catalog_search(
 
     Every pair is adjoined to rho on three extra points, which forces the
     kernel into PB3 by construction.  The scan is serial (``threads`` is
-    accepted for compatibility and ignored) and deduplicates as it goes:
-    each candidate is bucketed by the cheap invariants (index_pb3, n_ord,
-    index_f2) and compared by kernel equality only within its bucket, so
-    only kept candidates stay alive.  Output is sorted by (index_pb3,
-    content_id) and relabeled cat00, cat01, ... so repeated runs agree
-    byte for byte.
+    accepted for compatibility and ignored) and deduplicates as it goes.
+
+    A pair whose :func:`_pair_class` key was already seen is skipped before
+    any candidate is built.  That is exact: relabelling the pair conjugates
+    the homomorphism, and the kernel of an intransitive pair is the
+    intersection of its orbits' kernels, so it depends only on the set of
+    orbit classes.  A skipped pair therefore has the kernel of an earlier
+    pair, the same first member of each kernel is kept, and equal kernels
+    have isomorphic quotients, so ``max_group_size`` trips on the same
+    inputs as a scan without the skip.
+
+    Each remaining candidate is bucketed by the cheap invariants
+    (index_pb3, n_ord, index_f2) and compared by kernel equality only within
+    its bucket, so only kept candidates stay alive.  Output is sorted by
+    (index_pb3, content_id) and relabeled cat00, cat01, ... so repeated runs
+    agree byte for byte.
     """
     if max_degree < 1 or max_degree > degree_limit:
         raise ValueError(
@@ -328,8 +384,13 @@ def catalog_search(
     r1, r2 = rho().images
     buckets: dict[tuple[int, int, int], list[NfiSubgroup]] = {}
     kept: list[NfiSubgroup] = []
+    seen: set[tuple] = set()
     for degree in range(1, max_degree + 1):
         for p, q in _braid_pairs(degree):
+            key = _pair_class(p, q)
+            if key in seen:
+                continue
+            seen.add(key)
             cand = new_nfi(
                 (block_sum(p, r1), block_sum(q, r2)), max_group_size=max_group_size
             )

@@ -219,6 +219,14 @@ def test_catalog_save_dir_round_trips(files, tmp_path, catalog4, capsys):
         assert nfi_equal(loaded, N)
 
 
+def test_catalog_at_the_degree_limit(tmp_path, capsys):
+    code = run_command(
+        ["catalog", "--max-degree", "6", "--cache-dir", str(tmp_path / "c")]
+    )
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "catalog (degree <= 6): 7 kernels"
+
+
 def test_mainline(files, tmp_path, capsys):
     code = run_command(
         ["mainline", files["pb3"], files["cat02"], files["cat04"],

@@ -28,11 +28,15 @@ from braidshadow.subgroups import (
 from braidshadow.words import (
     C_WORD,
     DELTA,
+    SIGMA1,
+    SIGMA2,
     TAG_F2,
     X,
     Y,
+    embed_f2_in_b3,
     empty_word,
     tau,
+    theta,
 )
 
 EMPTY = empty_word(TAG_F2)
@@ -86,6 +90,43 @@ def test_hexagons_agree_with_simplified_on_the_grid(catalog4):
             for elt in d.f2_commutator.elements_in_order:
                 f = d.f2_commutator.word_of(elt)
                 assert check_hexagons(N, m, f) == check_simplified_hexagons(N, m, f)
+
+
+def _literal_hexagons(N, m, f):
+    # both relations as braid words with m as given, no reduction
+    k = 2 * m + 1
+    femb = embed_f2_in_b3(f)
+    conj = femb.inv() * SIGMA2**k * femb
+    rhs1 = femb.inv() * SIGMA1 * SIGMA2 * (SIGMA1 * SIGMA1) ** (-m) * C_WORD**m
+    rhs2 = SIGMA2 * SIGMA1 * (SIGMA2 * SIGMA2) ** (-m) * C_WORD**m * femb
+    ev = N.hom.evaluate
+    return ev(SIGMA1**k * conj) == ev(rhs1) and ev(conj * SIGMA1**k) == ev(rhs2)
+
+
+def _literal_simplified_hexagons(N, m, f):
+    quotient = N.data.f2_quotient
+    g = Y**m * f
+    return (
+        quotient.evaluate(f * theta(f)).is_identity()
+        and quotient.evaluate(tau(tau(g)) * tau(g) * g).is_identity()
+    )
+
+
+def test_hexagons_reduce_m_mod_n_ord(catalog4):
+    for N in catalog4:
+        d = N.data
+        for elt in d.f2_commutator.elements_in_order[:3]:
+            f = d.f2_commutator.word_of(elt)
+            huge = 10**20
+            assert check_hexagons(N, huge, f) == check_hexagons(N, huge % d.n_ord, f)
+            assert check_simplified_hexagons(N, huge, f) == check_simplified_hexagons(
+                N, huge % d.n_ord, f
+            )
+            for m in range(-d.n_ord, 2 * d.n_ord):
+                assert check_hexagons(N, m, f) == _literal_hexagons(N, m, f)
+                assert check_simplified_hexagons(N, m, f) == _literal_simplified_hexagons(
+                    N, m, f
+                )
 
 
 def test_is_shadow_rejections(catalog4):

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import random
 import weakref
 
 import pytest
@@ -14,6 +15,8 @@ from braidshadow.perms import GenHom, Permutation, block_sum, kernel_contained
 from braidshadow.shadows import enumerate_shadows
 from braidshadow.subgroups import (
     NfiSubgroup,
+    _braid_pairs,
+    _pair_class,
     catalog_search,
     content_id,
     from_f2_quotient,
@@ -212,6 +215,61 @@ def test_catalog_three_is_complete():
             N = new_nfi((block_sum(p, r1), block_sum(q, r2)))
             assert any(nfi_equal(N, entry) for entry in cat3)
     assert found > len(cat3)
+
+
+def test_braid_pairs_match_the_product_test():
+    for degree in range(1, 6):
+        perms = [Permutation(t) for t in itertools.permutations(range(degree))]
+        want = [
+            (p, q) for p, q in itertools.product(perms, repeat=2) if p * q * p == q * p * q
+        ]
+        assert list(_braid_pairs(degree)) == want
+
+
+def _every_candidate(max_degree):
+    # each braid pair adjoined to rho, with no relabelling-class skip
+    r1, r2 = rho().images
+    for degree in range(1, max_degree + 1):
+        for p, q in _braid_pairs(degree):
+            yield p, q, new_nfi((block_sum(p, r1), block_sum(q, r2)))
+
+
+def test_catalog_class_skip_is_exact(catalog4):
+    buckets, kept = {}, []
+    for _, _, cand in _every_candidate(4):
+        d = cand.data
+        bucket = buckets.setdefault((d.index_pb3, d.n_ord, d.index_f2), [])
+        if not any(nfi_equal(cand, existing) for existing in bucket):
+            bucket.append(cand)
+            kept.append(cand)
+    kept.sort(key=lambda s: (s.data.index_pb3, s.content_id))
+    assert [N.content_id for N in kept] == [N.content_id for N in catalog4]
+
+
+def test_pairs_sharing_a_class_share_a_kernel():
+    first, pairs = {}, 0
+    for p, q, cand in _every_candidate(4):
+        pairs += 1
+        assert nfi_equal(cand, first.setdefault(_pair_class(p, q), cand))
+    assert len(first) < pairs
+
+
+def test_pair_class_ignores_relabelling():
+    rng = random.Random(20240)
+    for degree in range(1, 5):
+        for p, q in _braid_pairs(degree):
+            key = _pair_class(p, q)
+            for _ in range(3):
+                s = Permutation(tuple(rng.sample(range(degree), degree)))
+                t = s.inverse()
+                assert _pair_class(t * p * s, t * q * s) == key
+
+
+def test_catalog_degree_six_adds_no_kernel():
+    def rows(catalog):
+        return [(N.degree, N.data.index_pb3, N.content_id) for N in catalog]
+
+    assert rows(catalog_search(6)) == rows(catalog_search(5))
 
 
 def test_b3_quotient_order_against_saturation_oracle(catalog4):
