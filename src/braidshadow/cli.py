@@ -139,12 +139,17 @@ def _cache_key(content: dict) -> str:
 
 
 def _cache_get(args, content: dict):
-    path = os.path.join(_cache_dir(args), _cache_key(content) + ".json")
+    """The cached payload, or None when the entry is missing or malformed."""
+    key = _cache_key(content)
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)["payload"]
-    except (OSError, ValueError, KeyError):
+        with open(os.path.join(_cache_dir(args), key + ".json"), encoding="utf-8") as fh:
+            entry = json.load(fh)
+    except (OSError, ValueError):
         return None
+    if not isinstance(entry, dict) or entry.get("key") != key:
+        return None
+    payload = entry.get("payload")
+    return payload if isinstance(payload, dict) else None
 
 
 def _cache_put(args, content: dict, payload) -> None:

@@ -2,8 +2,10 @@
 
 Desk-scale philosophy: every group that shows up (quotients B3/N, PB3/N,
 F2/N_F2 and friends) is small enough to enumerate outright, so there are no
-stabilizer chains, just breadth-first closures with deterministic word
-tables, and a kernel-containment test that never materializes a kernel.
+stabilizer chains, just one breadth-first closure and a kernel-containment
+test that never materializes a kernel.  The closure records a Schreier tree
+(how each element was first reached), and a group spells an element's word
+only when asked for it.
 
 Composition convention (used everywhere, including word evaluation): the
 product ``p * q`` means "apply p first, then q".
@@ -113,13 +115,15 @@ def block_sum(*perms: Permutation) -> Permutation:
 
 
 class GeneratedGroup:
-    """A fully enumerated permutation group with a deterministic word table.
+    """A fully enumerated permutation group, words spelled on demand.
 
     ``elements_in_order`` lists elements in BFS discovery order: words sorted
-    by length, ties broken by generator index then left to right.  ``words``
-    maps each element to a FreeWord over ``word_basis`` (== the generators,
-    except for commutator subgroups, whose words are spelled over the parent
-    group's alphabet so that they are literal commutator-subgroup words).
+    by length, ties broken by generator index then left to right.  The BFS
+    records a Schreier tree (element i was first reached from element
+    ``parent[i]`` by generator ``via[i]``), and ``word_of`` spells words from
+    it on demand, over ``word_basis`` (== the generators, except for
+    commutator subgroups, whose words are spelled over the parent group's
+    alphabet so that they are literal commutator-subgroup words).
     """
 
     def __init__(
@@ -127,16 +131,22 @@ class GeneratedGroup:
         generators: Sequence[Permutation],
         tag: str,
         elements_in_order: list[Permutation],
-        words: dict[Permutation, FreeWord],
+        index: dict[Permutation, int],
+        parent: list[int],
+        via: list[int],
+        seed_words: Sequence[FreeWord],
         word_basis: Sequence[Permutation] | None = None,
     ):
         self.generators = tuple(generators)
         self.tag = tag
         self.elements_in_order = elements_in_order
-        self.words = words
         self.word_basis = tuple(word_basis) if word_basis is not None else self.generators
         self.order = len(elements_in_order)
-        self._index = {p: i for i, p in enumerate(elements_in_order)}
+        self._index = index
+        self._parent = parent
+        self._via = via
+        self._seed_words = tuple(seed_words)
+        self._words = [empty_word(tag)]
 
     @property
     def elements(self) -> set[Permutation]:
@@ -150,6 +160,12 @@ class GeneratedGroup:
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
+    @property
+    def words(self) -> dict[Permutation, FreeWord]:
+        """The whole word table; spells every word, so keep it off hot paths."""
+        self.word_of(self.elements_in_order[-1])
+        return dict(zip(self.elements_in_order, self._words))
+
     def __contains__(self, p: Permutation) -> bool:
         return p in self._index
 
@@ -157,7 +173,12 @@ class GeneratedGroup:
         return self._index[p]
 
     def word_of(self, p: Permutation) -> FreeWord:
-        return self.words[p]
+        """Parent's word times the seed word; spelled in BFS order and kept."""
+        i = self._index[p]
+        words = self._words
+        for j in range(len(words), i + 1):
+            words.append(words[self._parent[j]] * self._seed_words[self._via[j]])
+        return words[i]
 
     def evaluate(self, w: FreeWord) -> Permutation:
         return evaluate_word(w, self.word_basis)
@@ -179,11 +200,11 @@ def generate_group(
     word_basis: Sequence[Permutation] | None = None,
     seed_words: Sequence[FreeWord] | None = None,
 ) -> GeneratedGroup:
-    """Breadth-first closure of the generators with word tracking.
+    """Breadth-first closure of the generators, recording a Schreier tree.
 
     Positive products suffice to close a finite group, so words use positive
     letters only (unless explicit ``seed_words`` carry inverses).  The BFS
-    order makes the element list and word table reproducible across runs.
+    order makes the element list and the words reproducible across runs.
     """
     gens = list(gens)
     if not gens:
@@ -194,42 +215,28 @@ def generate_group(
     if seed_words is None:
         seed_words = [FreeWord(tag, ((i, 1),)) for i in range(len(gens))]
     identity = Permutation.identity(degree)
-    words: dict[Permutation, FreeWord] = {identity: empty_word(tag)}
+    index = {identity: 0}
     elements = [identity]
+    parent, via = [0], [0]
     cursor = 0
     while cursor < len(elements):
         current = elements[cursor]
-        cursor += 1
-        for gen, gen_word in zip(gens, seed_words):
+        for g, gen in enumerate(gens):
             product = current * gen
-            if product not in words:
-                words[product] = words[current] * gen_word
+            if product not in index:
+                index[product] = len(elements)
                 elements.append(product)
+                parent.append(cursor)
+                via.append(g)
                 if len(elements) > max_size:
                     raise GroupSizeCapExceeded(max_size, len(elements))
-    return GeneratedGroup(gens, tag, elements, words, word_basis=word_basis)
+        cursor += 1
+    return GeneratedGroup(gens, tag, elements, index, parent, via, seed_words, word_basis)
 
 
 def closure_order(gens: Sequence[Permutation], max_size: int = DEFAULT_GROUP_SIZE_CAP) -> int:
-    """|<gens>| without the word table (cheaper inner loop)."""
-    degree = gens[0].degree
-    if any(g.degree != degree for g in gens):
-        raise DegreeMismatchError("generators must share a degree")
-    identity = Permutation.identity(degree)
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        new: list[Permutation] = []
-        for current in frontier:
-            for gen in gens:
-                product = current * gen
-                if product not in seen:
-                    seen.add(product)
-                    if len(seen) > max_size:
-                        raise GroupSizeCapExceeded(max_size, len(seen))
-                    new.append(product)
-        frontier = new
-    return len(seen)
+    """|<gens>|, by the same closure as :func:`generate_group`."""
+    return generate_group(gens, max_size=max_size).order
 
 
 def commutator_subgroup(
@@ -248,7 +255,7 @@ def commutator_subgroup(
     k = len(G.generators)
     base_letters = [FreeWord(G.tag, ((i, 1),)) for i in range(k)]
     for g in G.elements_in_order:
-        g_word = G.words[g]
+        g_word = G.word_of(g)
         g_inv = g.inverse()
         for i in range(k):
             for j in range(i + 1, k):
@@ -271,14 +278,7 @@ def commutator_subgroup(
                     seeds.append(conj)
                     seed_words.append(g_word * w * g_word.inv())
     if not seeds:
-        identity = G.identity
-        return GeneratedGroup(
-            [identity],
-            G.tag,
-            [identity],
-            {identity: empty_word(G.tag)},
-            word_basis=G.word_basis,
-        )
+        seeds, seed_words = [G.identity], [empty_word(G.tag)]
     return generate_group(
         seeds,
         tag=G.tag,

@@ -21,7 +21,7 @@ from .errors import (
     InternalInconsistencyError,
     SourceTargetMismatchError,
 )
-from .perms import GenHom, Permutation, is_generating_set
+from .perms import GenHom, Permutation, is_generating_set, kernels_equal
 from .subgroups import NfiSubgroup, new_nfi, nfi_equal
 from .words import (
     C_WORD,
@@ -202,18 +202,21 @@ def shadow_source(s: GtShadow) -> NfiSubgroup:
 
     A settled shadow (kernel equal to its target) gets the target object
     itself, so every morphism on one object lives in one realization and
-    inverses stay comparable to the originals.
+    inverses stay comparable to the originals.  Only an unsettled kernel is
+    built and checked as a new subgroup; a settled one is N, and N <= PB3.
     """
     if s._source is None:
-        f_text = word_to_text(s.f_word) or "1"
-        if len(f_text) > 24:
-            f_text = f_text[:21] + "..."
-        raw = new_nfi(
-            t_hom(s).images,
-            label=f"{s.target.label}<-({s.m},{f_text})",
-            max_group_size=s.target.max_group_size,
-        )
-        s._source = s.target if nfi_equal(raw, s.target) else raw
+        hom = t_hom(s)
+        cap = s.target.max_group_size
+        if kernels_equal(hom, s.target.hom, max_size=cap):
+            s._source = s.target
+        else:
+            f_text = word_to_text(s.f_word) or "1"
+            if len(f_text) > 24:
+                f_text = f_text[:21] + "..."
+            s._source = new_nfi(
+                hom.images, label=f"{s.target.label}<-({s.m},{f_text})", max_group_size=cap
+            )
     return s._source
 
 

@@ -14,7 +14,6 @@ import itertools
 import json
 import hashlib
 import math
-import weakref
 from dataclasses import dataclass
 
 from .errors import InternalInconsistencyError, KernelNotInPb3Error
@@ -100,7 +99,7 @@ class NfiSubgroup:
     @property
     def data(self) -> QuotientData:
         if self._data is None:
-            self._data = _quotient_data_cached(self.hom, self.max_group_size)
+            self._data = _compute_quotient_data(self.hom, self.max_group_size)
         return self._data
 
     def f2_hom(self) -> GenHom:
@@ -127,19 +126,6 @@ class NfiSubgroup:
 
     def __hash__(self):
         return hash(self.hom.images)
-
-
-# (hom, max_size) -> QuotientData.  Equal live realizations share one
-# QuotientData; once no subgroup holds it, it is freed.
-_DATA_CACHE = weakref.WeakValueDictionary()
-
-
-def _quotient_data_cached(hom: GenHom, max_size: int) -> QuotientData:
-    key = (hom, max_size)
-    data = _DATA_CACHE.get(key)
-    if data is None:
-        data = _DATA_CACHE[key] = _compute_quotient_data(hom, max_size)
-    return data
 
 
 def _compute_quotient_data(hom: GenHom, max_size: int) -> QuotientData:

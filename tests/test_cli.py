@@ -319,12 +319,17 @@ def test_cache_makes_output_reproducible(files, tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cache_survives_corruption(files, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "junk",
+    ["junk", "[]", "5", '{"payload": 5}', '{"payload": {}}'],
+    ids=["junk", "list", "number", "payload-number", "payload-without-key"],
+)
+def test_cache_survives_corruption(files, tmp_path, capsys, junk):
     cache = tmp_path / "c"
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     run_command(["shadows", files["cat04"], "--json", str(out1), "--cache-dir", str(cache)])
     for entry in cache.iterdir():
-        entry.write_text("junk", encoding="utf-8")
+        entry.write_text(junk, encoding="utf-8")
     assert run_command(
         ["shadows", files["cat04"], "--json", str(out2), "--cache-dir", str(cache)]
     ) == 0

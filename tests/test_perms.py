@@ -115,6 +115,9 @@ def test_generation_is_deterministic():
     G1 = generate_group([T01, T12], tag=TAG_B3)
     G2 = generate_group([T01, T12], tag=TAG_B3)
     assert G1.elements_in_order == G2.elements_in_order
+    # words asked for last element first match the whole table
+    spelled = {g: G1.word_of(g) for g in reversed(G1.elements_in_order)}
+    assert spelled == G2.words
     assert G1.words == G2.words
 
 

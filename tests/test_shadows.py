@@ -22,6 +22,7 @@ from braidshadow.subgroups import (
     NfiSubgroup,
     from_f2_quotient,
     new_nfi,
+    nfi_contains,
     nfi_equal,
     rho,
 )
@@ -37,6 +38,7 @@ from braidshadow.words import (
     empty_word,
     tau,
     theta,
+    word_to_text,
 )
 
 EMPTY = empty_word(TAG_F2)
@@ -143,6 +145,13 @@ def test_shadow_counts_frozen(pb3, catalog4):
     assert [len(enumerate_shadows(N)) for N in catalog4] == [1, 2, 2, 2, 6]
 
 
+def test_shadow_words_frozen(catalog4):
+    words = [(s.m, word_to_text(s.f_word)) for s in enumerate_shadows(catalog4[4])]
+    assert words == [
+        (0, ""), (0, "xyXY"), (0, "xxyXYX"), (2, ""), (2, "xyXY"), (2, "xxyXYX")
+    ]
+
+
 def test_enumeration_matches_pointwise_test(catalog4):
     for N in catalog4:
         d = N.data
@@ -246,6 +255,25 @@ def test_shadow_source_caching(catalog4):
     assert shadow_source(s) is src
     # settled shadow: the kernel is the target, and the object is reused
     assert src is s.target
+
+
+def test_unsettled_source_is_a_new_subgroup(catalog4):
+    # (m, 1) planted at every residue, hexagons or not; frozen values
+    distinct = {
+        ("cat02", 1): ("cat02<-(1,1)", "ce0bc23bbe4edabb"),
+        ("cat04", 1): ("cat04<-(1,1)", "141522e404806564"),
+    }
+    for N in catalog4:
+        for m in range(N.data.n_ord):
+            s = GtShadow(N, m, EMPTY, N.data.f2_quotient.identity)
+            source = shadow_source(s)
+            if (N.label, m) not in distinct:
+                assert source is N
+                continue
+            assert source is not N
+            assert (source.label, source.content_id) == distinct[N.label, m]
+            assert source.data.b3_quotient.order == 6
+            assert nfi_contains(N, source)
 
 
 def test_source_invariants(catalog4):
