@@ -305,7 +305,7 @@ def _cmd_diamond(args) -> int:
     doc = _cached(
         args,
         {"command": "diamond", "subgroup": subgroup_doc(N)},
-        lambda: subgroup_doc(diamond(N)),
+        lambda: subgroup_doc(diamond(N, args.max_candidates)),
     )
     lines = [f"diamond of {N.label}: {doc['label']} (degree {doc['degree']})"]
     return _emit(args, doc, lines)
@@ -331,7 +331,7 @@ def _cmd_survive(args) -> int:
     H = _load(args)
     N = load_subgroup(args.finer, max_group_size=args.max_group_size)
     s = _shadow_from_args(args, H)
-    ok = survives(s, N)
+    ok = survives(s, N, args.max_candidates)
     doc = {"survives": ok, "shadow": shadow_doc(s), "into": N.label}
     verb = "survives" if ok else "does not survive"
     return _emit(args, doc, [f"(m={s.m}, f={args.f or '1'}) {verb} into {N.label}"])
@@ -343,7 +343,7 @@ def _cmd_genuine(args) -> int:
 
     def compute():
         catalog = catalog_search(args.max_degree, max_group_size=args.max_group_size)
-        verdict = genuine_to_depth(s, catalog)
+        verdict = genuine_to_depth(s, catalog, args.max_candidates)
         return {
             "verdict": verdict.kind,
             "checked": [entry.label for entry in verdict.checked],
@@ -422,7 +422,7 @@ def _cmd_mainline(args) -> int:
     ]
 
     def compute():
-        diagram, limit = main_line_limit(catalog)
+        diagram, limit = main_line_limit(catalog, args.max_candidates)
         group_docs = []
         indexers = []
         for i, obj in enumerate(diagram.poset_objects):

@@ -6,7 +6,8 @@ finite-depth fake-shadow search, and limits of reduction diagrams over a
 finite poset of isolated objects.
 
 Every ``threads`` parameter is accepted for compatibility and ignored:
-enumeration is serial.
+enumeration is serial.  Every ``max_candidates`` is passed to each
+:func:`enumerate_shadows` call a function makes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 
 from .errors import BraidshadowError, InternalInconsistencyError, NotContainedError
 from .subgroups import NfiSubgroup, nfi_contains, nfi_equal, nfi_intersect
-from .shadows import GtShadow, enumerate_shadows, shadow_source
+from .shadows import DEFAULT_CANDIDATE_CAP, GtShadow, enumerate_shadows, shadow_source
 
 
 @dataclass
@@ -34,7 +35,7 @@ class ComponentReport:
 
 
 def connected_component(
-    N: NfiSubgroup, max_candidates: int | None = None, threads: int = 1
+    N: NfiSubgroup, max_candidates: int = DEFAULT_CANDIDATE_CAP, threads: int = 1
 ) -> ComponentReport:
     """Breadth-first closure of {N} under "is the source of a shadow of".
 
@@ -42,7 +43,6 @@ def connected_component(
     whole component.  New objects are compared against known ones by cheap
     invariants first, then by kernel equality.
     """
-    kwargs = {} if max_candidates is None else {"max_candidates": max_candidates}
     objects = [N]
     first = N.data
     morphisms: dict[tuple[int, int], list[GtShadow]] = {}
@@ -67,7 +67,7 @@ def connected_component(
     cursor = 0
     while cursor < len(objects):
         target = objects[cursor]
-        for s in enumerate_shadows(target, **kwargs):
+        for s in enumerate_shadows(target, max_candidates):
             src_idx = find_or_add(shadow_source(s))
             morphisms.setdefault((src_idx, cursor), []).append(s)
         cursor += 1
@@ -90,22 +90,31 @@ def connected_component(
     )
 
 
-def is_isolated(N: NfiSubgroup, threads: int = 1) -> bool:
-    """True iff every shadow with target N is settled (source = target)."""
-    return all(nfi_equal(shadow_source(s), N) for s in enumerate_shadows(N))
+def is_isolated(
+    N: NfiSubgroup, max_candidates: int = DEFAULT_CANDIDATE_CAP, threads: int = 1
+) -> bool:
+    """True iff every shadow with target N is settled (source = target).
+
+    ``shadow_source`` returns the target object itself exactly when a
+    shadow is settled, and every shadow enumerated here has target N, so
+    an identity test is exact.
+    """
+    return all(shadow_source(s) is N for s in enumerate_shadows(N, max_candidates))
 
 
-def diamond(N: NfiSubgroup, threads: int = 1) -> NfiSubgroup:
+def diamond(
+    N: NfiSubgroup, max_candidates: int = DEFAULT_CANDIDATE_CAP, threads: int = 1
+) -> NfiSubgroup:
     """Intersection of all objects in N's component; always isolated.
 
     Both halves of the contract are rechecked before returning: the result
     is contained in N and its own shadows are all settled.
     """
-    report = connected_component(N)
+    report = connected_component(N, max_candidates)
     result = report.diamond
     if not nfi_contains(result, N):
         raise InternalInconsistencyError("diamond is not contained in N")
-    if not is_isolated(result):
+    if not is_isolated(result, max_candidates):
         raise InternalInconsistencyError("diamond failed the isolation recheck")
     return result
 
@@ -129,7 +138,12 @@ def reduce_shadow(s: GtShadow, H: NfiSubgroup) -> GtShadow:
     return GtShadow(H, s.m % h_ord, s.f_word, H.data.f2_quotient.evaluate(s.f_word))
 
 
-def survives(s: GtShadow, N: NfiSubgroup, threads: int = 1) -> bool:
+def survives(
+    s: GtShadow,
+    N: NfiSubgroup,
+    max_candidates: int = DEFAULT_CANDIDATE_CAP,
+    threads: int = 1,
+) -> bool:
     """Does s (target H) lie in the image of GT(N) under reduction to H?
 
     Brute force: reduce every shadow of N and look for s.
@@ -139,7 +153,9 @@ def survives(s: GtShadow, N: NfiSubgroup, threads: int = 1) -> bool:
             f"{N.label} is not contained in {s.target.label}; "
             "survival is only defined downward"
         )
-    return any(reduce_shadow(t, s.target) == s for t in enumerate_shadows(N))
+    return any(
+        reduce_shadow(t, s.target) == s for t in enumerate_shadows(N, max_candidates)
+    )
 
 
 @dataclass
@@ -159,7 +175,10 @@ class Verdict:
 
 
 def genuine_to_depth(
-    s: GtShadow, catalog: list[NfiSubgroup], threads: int = 1
+    s: GtShadow,
+    catalog: list[NfiSubgroup],
+    max_candidates: int = DEFAULT_CANDIDATE_CAP,
+    threads: int = 1,
 ) -> Verdict:
     """Search the catalog for a certificate that s is fake.
 
@@ -172,7 +191,9 @@ def genuine_to_depth(
     for entry in catalog:
         if not nfi_contains(entry, s.target):
             continue
-        image = [reduce_shadow(t, s.target) for t in enumerate_shadows(entry)]
+        image = [
+            reduce_shadow(t, s.target) for t in enumerate_shadows(entry, max_candidates)
+        ]
         if s not in image:
             return Verdict(
                 kind="fake", checked=checked + [entry], witness=entry,
@@ -197,7 +218,9 @@ class MainLineDiagram:
 
 
 def main_line_limit(
-    catalog: list[NfiSubgroup], threads: int = 1
+    catalog: list[NfiSubgroup],
+    max_candidates: int = DEFAULT_CANDIDATE_CAP,
+    threads: int = 1,
 ) -> tuple[MainLineDiagram, list[tuple[GtShadow, ...]]]:
     """Build the reduction diagram on the catalog and compute its limit.
 
@@ -207,7 +230,7 @@ def main_line_limit(
     deterministic order.
     """
     for entry in catalog:
-        if not is_isolated(entry):
+        if not is_isolated(entry, max_candidates):
             raise BraidshadowError(
                 f"main line requires isolated objects; {entry.label} is not"
             )
@@ -216,7 +239,7 @@ def main_line_limit(
         key=lambda i: (catalog[i].data.index_pb3, catalog[i].content_id),
     )
     objects = [catalog[i] for i in order]
-    groups = {i: enumerate_shadows(obj) for i, obj in enumerate(objects)}
+    groups = {i: enumerate_shadows(obj, max_candidates) for i, obj in enumerate(objects)}
     edges: dict[tuple[int, int], dict[GtShadow, GtShadow]] = {}
     for i, finer in enumerate(objects):
         for j, coarser in enumerate(objects):

@@ -4,8 +4,9 @@ Desk-scale philosophy: every group that shows up (quotients B3/N, PB3/N,
 F2/N_F2 and friends) is small enough to enumerate outright, so there are no
 stabilizer chains, just one breadth-first closure and a kernel-containment
 test that never materializes a kernel.  The closure records a Schreier tree
-(how each element was first reached), and a group spells an element's word
-only when asked for it.
+(how each element was first reached) and the right-multiplication table; a
+group spells an element's word only when asked for it, and tests whether
+generator images define an automorphism on that table alone.
 
 Composition convention (used everywhere, including word evaluation): the
 product ``p * q`` means "apply p first, then q".
@@ -124,6 +125,10 @@ class GeneratedGroup:
     it on demand, over ``word_basis`` (== the generators, except for
     commutator subgroups, whose words are spelled over the parent group's
     alphabet so that they are literal commutator-subgroup words).
+
+    ``right[g][i]`` is the index of ``elements_in_order[i] * generators[g]``:
+    the group's right-multiplication table, which :meth:`is_automorphism`
+    works on with integers only.
     """
 
     def __init__(
@@ -134,6 +139,7 @@ class GeneratedGroup:
         index: dict[Permutation, int],
         parent: list[int],
         via: list[int],
+        right: list[list[int]],
         seed_words: Sequence[FreeWord],
         word_basis: Sequence[Permutation] | None = None,
     ):
@@ -145,8 +151,10 @@ class GeneratedGroup:
         self._index = index
         self._parent = parent
         self._via = via
+        self.right = right
         self._seed_words = tuple(seed_words)
         self._words = [empty_word(tag)]
+        self._inverse: list[int] | None = None
 
     @property
     def elements(self) -> set[Permutation]:
@@ -183,6 +191,58 @@ class GeneratedGroup:
     def evaluate(self, w: FreeWord) -> Permutation:
         return evaluate_word(w, self.word_basis)
 
+    def _left_table(self, h: int) -> list[int]:
+        """Left multiplication by element h, on indices: h x for each x."""
+        right, parent, via = self.right, self._parent, self._via
+        out = [h]
+        for j in range(1, self.order):
+            out.append(right[via[j]][out[parent[j]]])
+        return out
+
+    def _inverse_table(self) -> list[int]:
+        """The index of each element's inverse; built once, in BFS order.
+
+        Element j is its parent times generator ``via[j]``, so its inverse
+        is that generator's inverse times the parent's inverse.
+        """
+        if self._inverse is None:
+            left = [self._left_table(self._index[g.inverse()]) for g in self.generators]
+            inv = [0]
+            for j in range(1, self.order):
+                inv.append(left[self._via[j]][inv[self._parent[j]]])
+            self._inverse = inv
+        return self._inverse
+
+    def is_automorphism(self, images: Sequence[Permutation]) -> bool:
+        """Does generator i -> images[i] extend to an injective endomorphism?
+
+        Integer work on the multiplication table only; no closure.  The
+        candidate map a is spelled along the Schreier tree, a(x gen_g) =
+        a(x) t_g for tree edges, with right multiplication by t computed as
+        x t = (t^-1 x^-1)^-1.  It is a well-defined homomorphism iff that
+        rule holds on every edge of the table, and then injective iff it
+        takes ``order`` distinct values.  An image outside the group gives
+        False.
+        """
+        if len(images) != len(self.generators):
+            raise ValueError(
+                f"need {len(self.generators)} generator images, got {len(images)}"
+            )
+        if any(p not in self._index for p in images):
+            return False
+        inv = self._inverse_table()
+        times = []  # times[g][i]: the index of element i * images[g]
+        for p in images:
+            left = self._left_table(inv[self._index[p]])
+            times.append([inv[left[k]] for k in inv])
+        a = [0]
+        for j in range(1, self.order):
+            a.append(times[self._via[j]][a[self._parent[j]]])
+        for table, t in zip(self.right, times):
+            if any(a[j] != t[a[i]] for i, j in enumerate(table)):
+                return False
+        return len(set(a)) == self.order
+
 
 def evaluate_word(w: FreeWord, images: Sequence[Permutation]) -> Permutation:
     """Evaluate a word over the given generator images (left to right)."""
@@ -200,7 +260,8 @@ def generate_group(
     word_basis: Sequence[Permutation] | None = None,
     seed_words: Sequence[FreeWord] | None = None,
 ) -> GeneratedGroup:
-    """Breadth-first closure of the generators, recording a Schreier tree.
+    """Breadth-first closure of the generators, recording a Schreier tree
+    and the right-multiplication table (every product is looked up anyway).
 
     Positive products suffice to close a finite group, so words use positive
     letters only (unless explicit ``seed_words`` carry inverses).  The BFS
@@ -218,20 +279,25 @@ def generate_group(
     index = {identity: 0}
     elements = [identity]
     parent, via = [0], [0]
+    right: list[list[int]] = [[] for _ in gens]
     cursor = 0
     while cursor < len(elements):
         current = elements[cursor]
         for g, gen in enumerate(gens):
             product = current * gen
-            if product not in index:
-                index[product] = len(elements)
+            j = index.get(product)
+            if j is None:
+                j = index[product] = len(elements)
                 elements.append(product)
                 parent.append(cursor)
                 via.append(g)
                 if len(elements) > max_size:
                     raise GroupSizeCapExceeded(max_size, len(elements))
+            right[g].append(j)
         cursor += 1
-    return GeneratedGroup(gens, tag, elements, index, parent, via, seed_words, word_basis)
+    return GeneratedGroup(
+        gens, tag, elements, index, parent, via, right, seed_words, word_basis
+    )
 
 
 def closure_order(gens: Sequence[Permutation], max_size: int = DEFAULT_GROUP_SIZE_CAP) -> int:
@@ -338,12 +404,20 @@ def _image_order(images: tuple[Permutation, ...], max_size: int) -> int:
     return closure_order(images, max_size=max_size)
 
 
-def _paired_order(hom1: GenHom, hom2: GenHom, max_size: int) -> int:
-    """|im(hom1 x hom2)|, the paired closure behind both kernel tests."""
+def _same_images(hom1: GenHom, hom2: GenHom) -> bool:
+    """Identical images, hence equal kernels with no closure.
+
+    Raises DomainTagMismatchError when the domains differ.
+    """
     if hom1.domain_tag != hom2.domain_tag:
         raise DomainTagMismatchError(
             f"domain mismatch: {hom1.domain_tag} vs {hom2.domain_tag}"
         )
+    return hom1.images == hom2.images
+
+
+def _paired_order(hom1: GenHom, hom2: GenHom, max_size: int) -> int:
+    """|im(hom1 x hom2)|, the paired closure behind both kernel tests."""
     paired = tuple(block_sum(p, q) for p, q in zip(hom1.images, hom2.images))
     return _image_order(paired, max_size)
 
@@ -358,6 +432,8 @@ def kernel_contained(
     killed by hom2.  So the kernels nest iff the paired image is no bigger
     than im(hom1).
     """
+    if _same_images(hom1, hom2):
+        return True
     return _paired_order(hom1, hom2, max_size) == _image_order(hom1.images, max_size)
 
 
@@ -365,6 +441,8 @@ def kernels_equal(
     hom1: GenHom, hom2: GenHom, max_size: int = DEFAULT_GROUP_SIZE_CAP
 ) -> bool:
     """ker(hom1) == ker(hom2); one paired closure instead of two."""
+    if _same_images(hom1, hom2):
+        return True
     return (
         _paired_order(hom1, hom2, max_size)
         == _image_order(hom1.images, max_size)

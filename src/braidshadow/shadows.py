@@ -21,7 +21,7 @@ from .errors import (
     InternalInconsistencyError,
     SourceTargetMismatchError,
 )
-from .perms import GenHom, Permutation, is_generating_set, kernels_equal
+from .perms import GenHom, Permutation, is_generating_set
 from .subgroups import NfiSubgroup, new_nfi, nfi_equal
 from .words import (
     C_WORD,
@@ -202,13 +202,17 @@ def shadow_source(s: GtShadow) -> NfiSubgroup:
 
     A settled shadow (kernel equal to its target) gets the target object
     itself, so every morphism on one object lives in one realization and
-    inverses stay comparable to the originals.  Only an unsettled kernel is
-    built and checked as a new subgroup; a settled one is N, and N <= PB3.
+    inverses stay comparable to the originals.  Settledness is decided on
+    B3/N's multiplication table: T = phi o (B3 -> B3/N) for some map phi
+    of B3/N exactly when N <= ker T, and then ker T = N exactly when phi
+    is injective, which is what ``is_automorphism`` tests.  Only an
+    unsettled kernel is built and checked as a new subgroup; a settled one
+    is N, and N <= PB3.
     """
     if s._source is None:
         hom = t_hom(s)
         cap = s.target.max_group_size
-        if kernels_equal(hom, s.target.hom, max_size=cap):
+        if s.target.data.b3_quotient.is_automorphism(hom.images):
             s._source = s.target
         else:
             f_text = word_to_text(s.f_word) or "1"

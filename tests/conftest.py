@@ -13,6 +13,23 @@ def catalog4():
     return bs.catalog_search(4)
 
 
+# The first non-isolated component: two kernels of catalog_search(7,
+# degree_limit=7), frozen so that no test runs the degree-7 search.
+_CAT09_10_SIGMA1 = (0, 2, 3, 4, 5, 6, 1, 8, 7, 9)
+
+
+@pytest.fixture(scope="session")
+def cat09():
+    sigma2 = bs.Permutation((1, 4, 2, 0, 6, 3, 5, 7, 9, 8))
+    return bs.new_nfi((bs.Permutation(_CAT09_10_SIGMA1), sigma2), label="cat09")
+
+
+@pytest.fixture(scope="session")
+def cat10():
+    sigma2 = bs.Permutation((1, 5, 2, 0, 6, 4, 3, 7, 9, 8))
+    return bs.new_nfi((bs.Permutation(_CAT09_10_SIGMA1), sigma2), label="cat10")
+
+
 # One PASS/FAIL line per acceptance check at the end of the run, in order.
 _acceptance_outcomes = {}
 

@@ -167,6 +167,23 @@ def test_component_and_diamond(files, tmp_path, capsys):
     assert "diamond of cat02: cat02" in capsys.readouterr().out
 
 
+def test_component_document_of_two_objects(tmp_path, cat09, capsys):
+    path = str(tmp_path / "cat09.json")
+    save_doc(path, subgroup_doc(cat09))
+    out = str(tmp_path / "component.json")
+    code = run_command(
+        ["component", path, "--json", out, "--cache-dir", str(tmp_path / "c")]
+    )
+    assert code == 0
+    capsys.readouterr()
+    doc = json.loads(open(out, encoding="utf-8").read())
+    assert not doc["isolated"]
+    assert len(doc["objects"]) == 2
+    assert sorted(doc["morphisms"]) == ["0->0", "0->1", "1->0", "1->1"]
+    assert all(len(v) == 6 for v in doc["morphisms"].values())
+    assert doc["diamond"]["degree"] == 20
+
+
 def test_reduce_and_survive(files, tmp_path, capsys):
     cache = str(tmp_path / "c")
     code = run_command(
@@ -298,6 +315,22 @@ def test_huge_m_ends_without_traceback(files, tmp_path, capsys, command, target,
     )
     assert code in (0, 1)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["diamond", "cat04"],
+    ["survive", "cat04", "cat04", "-m", "0"],
+    ["genuine", "cat04", "-m", "0"],
+    ["mainline", "cat04"],
+], ids=["diamond", "survive", "genuine", "mainline"])
+def test_candidate_cap_reaches_every_enumeration(files, tmp_path, capsys, argv):
+    argv = [files.get(a, a) for a in argv]
+    code = run_command(
+        [*argv, "--max-candidates", "1", "--cache-dir", str(tmp_path / "c")]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: candidate cap exceeded") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from braidshadow.shadows import (
     enumerate_shadows,
     identity_shadow,
     invert_shadow,
+    shadow_source,
 )
 from braidshadow.subgroups import nfi_contains, nfi_equal
 from braidshadow.words import TAG_F2, empty_word
@@ -63,6 +64,49 @@ def test_morphisms_closed_under_composition(catalog4):
 def test_diamond_of_an_isolated_object_is_itself(pb3, catalog4):
     for N in [pb3, *catalog4]:
         assert diamond(N) is N
+
+
+def test_first_non_isolated_component(cat09, cat10):
+    report = connected_component(cat09)
+    assert not report.isolated
+    assert report.objects[0] is cat09
+    assert len(report.objects) == 2
+    assert nfi_equal(report.objects[1], cat10)
+    assert sorted(report.morphisms) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert all(len(v) == 6 for v in report.morphisms.values())
+    assert not is_isolated(cat09)
+
+
+def test_diamond_of_a_two_object_component(cat09, cat10):
+    D = diamond(cat09)
+    assert D.degree == 20
+    assert D.data.b3_quotient.order == 882
+    assert len(enumerate_shadows(D)) == 72
+    assert nfi_contains(D, cat09) and nfi_contains(D, cat10)
+    assert is_isolated(D)
+
+
+def test_unsettled_shadows_swap_the_two_objects(cat09, cat10):
+    unsettled = [s for s in enumerate_shadows(cat09) if s.m == 2]
+    assert len(unsettled) == 6
+    for s in unsettled:
+        source = shadow_source(s)
+        assert source is not cat09
+        assert nfi_equal(source, cat10)
+        sinv = invert_shadow(s)
+        assert sinv.target is source
+        assert shadow_source(sinv) is cat09
+        assert compose_shadows(s, sinv) == identity_shadow(cat09)
+        assert compose_shadows(sinv, s) == identity_shadow(source)
+
+
+def test_reduce_and_survive_from_the_diamond_into_both_objects(cat09, cat10):
+    D = diamond(cat09)
+    gt_d = enumerate_shadows(D)
+    for X in (cat09, cat10):
+        image = {reduce_shadow(t, X) for t in gt_d}
+        assert image == set(enumerate_shadows(X))
+        assert all(survives(r, D) for r in image)
 
 
 # ---------------------------------------------------------------------------

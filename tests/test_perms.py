@@ -34,6 +34,7 @@ T01 = Permutation((1, 0, 2))
 T12 = Permutation((0, 2, 1))
 
 perms6 = strat.permutations(range(6)).map(lambda xs: Permutation(tuple(xs)))
+perms5 = strat.permutations(range(5)).map(lambda xs: Permutation(tuple(xs)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +300,60 @@ def test_generated_group_closure_law(gens):
         for b in G.elements_in_order:
             assert b * a in G
             assert b.inverse() in G
+
+
+@hypothesis.given(strat.lists(perms6, min_size=1, max_size=3))
+@hypothesis.settings(max_examples=40, deadline=None)
+def test_right_multiplication_table(gens):
+    G = generate_group(gens)
+    assert len(G.right) == len(G.generators)
+    for g, gen in enumerate(G.generators):
+        assert len(G.right[g]) == G.order
+        for i, p in enumerate(G.elements_in_order):
+            assert G.right[g][i] == G.index_of(p * gen)
+
+
+@hypothesis.given(strat.lists(perms6, min_size=1, max_size=3), strat.integers(min_value=0))
+@hypothesis.settings(max_examples=40, deadline=None)
+def test_identity_and_inner_maps_are_automorphisms(gens, pick):
+    G = generate_group(gens)
+    assert G.is_automorphism(G.generators)
+    h = G.elements_in_order[pick % G.order]
+    assert G.is_automorphism([h.inverse() * g * h for g in G.generators])
+    # the trivial map is well defined, and injective only on a trivial group
+    assert G.is_automorphism([G.identity] * len(gens)) == (G.order == 1)
+
+
+@hypothesis.given(
+    strat.lists(perms5, min_size=1, max_size=3),
+    strat.lists(strat.integers(min_value=0), min_size=3, max_size=3),
+)
+@hypothesis.settings(max_examples=60, deadline=None)
+def test_is_automorphism_against_paired_closure(gens, picks):
+    # gen_i -> t_i extends to an injective endomorphism iff the paired
+    # image is no bigger than the group and the t_i generate all of it
+    G = generate_group(gens)
+    images = [G.elements_in_order[k % G.order] for k in picks[: len(gens)]]
+    paired = [block_sum(g, t) for g, t in zip(G.generators, images)]
+    expected = closure_order(paired) == G.order == closure_order(images)
+    assert G.is_automorphism(images) == expected
+
+
+def test_swapped_images_breaking_a_relation():
+    G = generate_group([T01, C3])  # S3; T01 has order 2, C3 order 3
+    assert G.is_automorphism([T01, C3])
+    assert not G.is_automorphism([C3, T01])
+    # the braid generators of S3 swap by conjugation with (0 2)
+    H = generate_group([T01, T12])
+    assert H.is_automorphism([T12, T01])
+
+
+def test_is_automorphism_rejects_images_outside_the_group():
+    G = generate_group([C3])
+    assert not G.is_automorphism([T01])
+    assert not G.is_automorphism([Permutation((1, 2, 3, 0))])
+    with pytest.raises(ValueError):
+        G.is_automorphism([C3, C3])
 
 
 def test_evaluate_word_with_inverses():

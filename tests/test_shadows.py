@@ -1,11 +1,20 @@
+import math
+
 import pytest
 
 from braidshadow.errors import (
+    BraidRelationError,
     CandidateCapExceeded,
     NotCommutatorWordError,
     SourceTargetMismatchError,
 )
-from braidshadow.perms import GenHom, Permutation, block_sum, kernel_contained
+from braidshadow.perms import (
+    GenHom,
+    Permutation,
+    block_sum,
+    kernel_contained,
+    kernels_equal,
+)
 from braidshadow.shadows import (
     GtShadow,
     check_hexagons,
@@ -31,6 +40,7 @@ from braidshadow.words import (
     DELTA,
     SIGMA1,
     SIGMA2,
+    TAG_B3,
     TAG_F2,
     X,
     Y,
@@ -274,6 +284,29 @@ def test_unsettled_source_is_a_new_subgroup(catalog4):
             assert (source.label, source.content_id) == distinct[N.label, m]
             assert source.data.b3_quotient.order == 6
             assert nfi_contains(N, source)
+
+
+def test_settledness_matches_the_paired_closure(pb3, catalog4, cat09, cat10):
+    # every grid point, shadow or not, whose T images satisfy the braid
+    # relation: the table test against kernel equality by paired closure
+    seen = {True: 0, False: 0}
+    for N in [pb3, *catalog4, cat09, cat10]:
+        d = N.data
+        g1, g2 = N.hom.images
+        for m in range(d.n_ord):
+            k = 2 * m + 1
+            if math.gcd(k, d.n_ord) != 1:
+                continue
+            for f in d.f2_commutator.elements_in_order:
+                images = (g1**k, f.inverse() * g2**k * f)
+                try:
+                    hom = GenHom(TAG_B3, images)
+                except BraidRelationError:
+                    continue
+                settled = d.b3_quotient.is_automorphism(images)
+                assert settled == kernels_equal(hom, N.hom)
+                seen[settled] += 1
+    assert seen[True] > 0 and seen[False] > 0
 
 
 def test_source_invariants(catalog4):
