@@ -172,6 +172,14 @@ def _cache_put(args, content: dict, payload) -> None:
 
 
 def _cached(args, content: dict, compute):
+    """The cached payload for ``content`` and the caps, computed on a miss.
+
+    The caps are part of the key, so a result computed under one cap is
+    never printed under another that would refuse the work.
+    """
+    content = dict(
+        content, max_candidates=args.max_candidates, max_group_size=args.max_group_size
+    )
     payload = _cache_get(args, content)
     if payload is None:
         payload = compute()

@@ -6,7 +6,8 @@ stabilizer chains, just one breadth-first closure and a kernel-containment
 test that never materializes a kernel.  The closure records a Schreier tree
 (how each element was first reached) and the right-multiplication table; a
 group spells an element's word only when asked for it, and tests whether
-generator images define an automorphism on that table alone.
+generator images define an automorphism, or whether given elements generate
+it, on that table alone.
 
 Composition convention (used everywhere, including word evaluation): the
 product ``p * q`` means "apply p first, then q".
@@ -213,13 +214,37 @@ class GeneratedGroup:
             self._inverse = inv
         return self._inverse
 
+    def _right_table(self, p: Permutation) -> list[int]:
+        """Right multiplication by element p, on indices: x p for each x.
+
+        Computed as x p = (p^-1 x^-1)^-1, from a left table and the inverse
+        table, so no product is formed.
+        """
+        inv = self._inverse_table()
+        left = self._left_table(inv[self._index[p]])
+        return [inv[left[k]] for k in inv]
+
+    def tree_images(self, images: Sequence[Permutation]) -> list[Permutation]:
+        """Each element's tree word evaluated over ``images``, in BFS order.
+
+        images[g] stands for seed g.  Element j is element ``parent[j]``
+        times seed ``via[j]``, so its image is the parent's image times
+        images[via[j]]: one product per element, no word is spelled.  When
+        seed g -> images[g] extends to a homomorphism, this tabulates it.
+        """
+        parent, via = self._parent, self._via
+        out = [Permutation.identity(images[0].degree)]
+        for j in range(1, self.order):
+            out.append(out[parent[j]] * images[via[j]])
+        return out
+
     def is_automorphism(self, images: Sequence[Permutation]) -> bool:
         """Does generator i -> images[i] extend to an injective endomorphism?
 
         Integer work on the multiplication table only; no closure.  The
         candidate map a is spelled along the Schreier tree, a(x gen_g) =
-        a(x) t_g for tree edges, with right multiplication by t computed as
-        x t = (t^-1 x^-1)^-1.  It is a well-defined homomorphism iff that
+        a(x) t_g for tree edges, with right multiplication by t read from
+        :meth:`_right_table`.  It is a well-defined homomorphism iff that
         rule holds on every edge of the table, and then injective iff it
         takes ``order`` distinct values.  An image outside the group gives
         False.
@@ -230,11 +255,7 @@ class GeneratedGroup:
             )
         if any(p not in self._index for p in images):
             return False
-        inv = self._inverse_table()
-        times = []  # times[g][i]: the index of element i * images[g]
-        for p in images:
-            left = self._left_table(inv[self._index[p]])
-            times.append([inv[left[k]] for k in inv])
+        times = [self._right_table(p) for p in images]  # times[g][i]: i * images[g]
         a = [0]
         for j in range(1, self.order):
             a.append(times[self._via[j]][a[self._parent[j]]])
@@ -416,10 +437,19 @@ def _same_images(hom1: GenHom, hom2: GenHom) -> bool:
     return hom1.images == hom2.images
 
 
-def _paired_order(hom1: GenHom, hom2: GenHom, max_size: int) -> int:
-    """|im(hom1 x hom2)|, the paired closure behind both kernel tests."""
-    paired = tuple(block_sum(p, q) for p, q in zip(hom1.images, hom2.images))
-    return _image_order(paired, max_size)
+@lru_cache(maxsize=65536)
+def _paired_within(
+    images1: tuple[Permutation, ...], images2: tuple[Permutation, ...], bound: int
+) -> bool:
+    """Do the paired images (images1[i], images2[i]) generate at most
+    ``bound`` elements?  The closure stops one element past the bound, so a
+    "no" never enumerates the rest."""
+    paired = tuple(block_sum(p, q) for p, q in zip(images1, images2))
+    try:
+        closure_order(paired, max_size=bound)
+    except GroupSizeCapExceeded:
+        return False
+    return True
 
 
 def kernel_contained(
@@ -430,32 +460,50 @@ def kernel_contained(
     The pairing trick: the projection im(hom1 x hom2) -> im(hom1) is always
     onto, and it is injective exactly when every word killed by hom1 is
     killed by hom2.  So the kernels nest iff the paired image is no bigger
-    than im(hom1).
+    than im(hom1), and the paired closure runs with |im(hom1)| as its cap.
+    Only im(hom1) itself must fit in ``max_size``.
     """
     if _same_images(hom1, hom2):
         return True
-    return _paired_order(hom1, hom2, max_size) == _image_order(hom1.images, max_size)
+    order1 = _image_order(hom1.images, max_size)
+    return _paired_within(hom1.images, hom2.images, order1)
 
 
 def kernels_equal(
     hom1: GenHom, hom2: GenHom, max_size: int = DEFAULT_GROUP_SIZE_CAP
 ) -> bool:
-    """ker(hom1) == ker(hom2); one paired closure instead of two."""
+    """ker(hom1) == ker(hom2): images of one order, then one paired closure
+    capped at that order instead of two containment tests."""
     if _same_images(hom1, hom2):
         return True
-    return (
-        _paired_order(hom1, hom2, max_size)
-        == _image_order(hom1.images, max_size)
-        == _image_order(hom2.images, max_size)
-    )
+    order1 = _image_order(hom1.images, max_size)
+    if order1 != _image_order(hom2.images, max_size):
+        return False
+    return _paired_within(hom1.images, hom2.images, order1)
 
 
 def is_generating_set(G: GeneratedGroup, elems: Iterable[Permutation]) -> bool:
-    """True iff the given elements of G generate all of it."""
+    """True iff the given elements of G generate all of it.
+
+    A BFS over G's indices from the identity, one step being right
+    multiplication by a given element, read from a table built on G's own
+    multiplication table (no permutation product).  It stops as soon as all
+    ``G.order`` elements are reached.
+    """
     elems = list(elems)
     for p in elems:
         if p not in G:
             raise ValueError(f"element {p.images} is not in the group")
-    if not elems:
-        return G.order == 1
-    return closure_order(elems, max_size=G.order) == G.order
+    tables = [G._right_table(p) for p in elems]
+    seen = bytearray(G.order)
+    seen[0] = 1
+    reached = [0]
+    for i in reached:
+        for table in tables:
+            j = table[i]
+            if not seen[j]:
+                seen[j] = 1
+                reached.append(j)
+                if len(reached) == G.order:
+                    return True
+    return len(reached) == G.order

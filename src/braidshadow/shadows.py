@@ -32,7 +32,6 @@ from .words import (
     Y,
     FreeWord,
     bullet_monoid,
-    e_endo,
     embed_f2_in_b3,
     empty_word,
     require_commutator_form,
@@ -138,18 +137,16 @@ def check_simplified_hexagons(N: NfiSubgroup, m: int, f: FreeWord) -> bool:
     return quotient.evaluate(w).is_identity()
 
 
-def _t_f2_onto(N: NfiSubgroup, m: int, f: FreeWord) -> bool:
-    """Do x^(2m+1) and f^-1 y^(2m+1) f generate F2/N_F2?
+def _t_f2_onto(N: NfiSubgroup, m: int, big_f: Permutation) -> bool:
+    """Do x^(2m+1) and F^-1 y^(2m+1) F generate F2/N_F2?  (F: f's image.)
 
     Equivalent to T itself being onto B3/N, which is the cheaper thing to
     test because it avoids the six extra cosets.
     """
     d = N.data
     k = 2 * m + 1
-    big_f = d.f2_quotient.evaluate(f)
-    ex = d.x_image**k
     ey = big_f.inverse() * d.y_image**k * big_f
-    return is_generating_set(d.f2_quotient, (ex, ey))
+    return is_generating_set(d.f2_quotient, (d.x_image**k, ey))
 
 
 def is_shadow(N: NfiSubgroup, m: int, f: FreeWord) -> bool:
@@ -163,11 +160,12 @@ def is_shadow(N: NfiSubgroup, m: int, f: FreeWord) -> bool:
     m %= d.n_ord
     if math.gcd(2 * m + 1, d.n_ord) != 1:
         return False
-    if d.f2_quotient.evaluate(f) not in d.f2_commutator:
+    big_f = d.f2_quotient.evaluate(f)
+    if big_f not in d.f2_commutator:
         return False
     if not check_hexagons(N, m, f):
         return False
-    return _t_f2_onto(N, m, f)
+    return _t_f2_onto(N, m, big_f)
 
 
 def t_hom(s: GtShadow) -> GenHom:
@@ -224,6 +222,38 @@ def shadow_source(s: GtShadow) -> NfiSubgroup:
     return s._source
 
 
+def _hexagon_points(N: NfiSubgroup, units: list[int]):
+    """The grid points (m, F) that satisfy the simplified hexagons, in
+    (m ascending, F discovery order), worked on B3/N's elements.
+
+    In B3, theta(w) = Delta w Delta^-1 and tau(w) = u w u^-1 c^(-e_y(w))
+    with u = sigma_1 sigma_2.  So for a commutator f with image F and
+    g = y^m f with image G, the two memberships of
+    :func:`check_simplified_hexagons` read
+
+        F Delta F Delta^-1 = 1   and   u^2 G u^-2 u G u^-1 c^-m G = 1.
+
+    The first does not involve m and filters each F once; no word is built.
+    """
+    d = N.data
+    delta, delta_inv = d.delta_image, d.delta_image.inverse()
+    flat = [
+        F for F in d.f2_commutator.elements_in_order
+        if (F * delta * F * delta_inv).is_identity()
+    ]
+    g1, g2 = N.hom.images
+    u = g1 * g2
+    u_inv = u.inverse()
+    u2 = u * u
+    for m in units:
+        y_m = d.y_image**m
+        c_m = d.c_image ** (-m)
+        for F in flat:
+            G = y_m * F
+            if (u2 * G * u_inv * G * u_inv * c_m * G).is_identity():
+                yield m, F
+
+
 def enumerate_shadows(
     N: NfiSubgroup,
     max_candidates: int = DEFAULT_CANDIDATE_CAP,
@@ -232,11 +262,15 @@ def enumerate_shadows(
     """All shadows with target N, in (m ascending, f discovery order).
 
     The candidate grid is {unit residues} x {commutator subgroup of
-    F2/N_F2}; each candidate passes through the simplified hexagons and
-    then the surjectivity test.  The cap is checked on every call, then the
-    result is memoized on N itself, so every shadow returned has target N.
-    Enumeration is serial; ``threads`` is accepted for compatibility and
-    ignored.
+    F2/N_F2}.  Every test works on elements of B3/N: the hexagons as
+    conjugations (:func:`_hexagon_points`), then surjectivity on f's image
+    (:func:`_t_f2_onto`).  Only a kept shadow gets a word, spelled by
+    ``f2_commutator.word_of``; :func:`check_simplified_hexagons` stays as
+    the word-level reference.
+
+    The cap is checked on every call, then the result is memoized on N
+    itself, so every shadow returned has target N.  Enumeration is serial;
+    ``threads`` is accepted for compatibility and ignored.
     """
     d = N.data
     units = [m for m in range(d.n_ord) if math.gcd(2 * m + 1, d.n_ord) == 1]
@@ -244,13 +278,12 @@ def enumerate_shadows(
     if total > max_candidates:
         raise CandidateCapExceeded(max_candidates, total)
     if N._shadows is None:
-        shadows = []
-        for m in units:
-            for elt in d.f2_commutator.elements_in_order:
-                f = d.f2_commutator.word_of(elt)
-                if check_simplified_hexagons(N, m, f) and _t_f2_onto(N, m, f):
-                    shadows.append(GtShadow(N, m, f, elt))
-        N._shadows = shadows
+        comm = d.f2_commutator
+        N._shadows = [
+            GtShadow(N, m, comm.word_of(F), F)
+            for m, F in _hexagon_points(N, units)
+            if _t_f2_onto(N, m, F)
+        ]
     return list(N._shadows)
 
 
@@ -275,8 +308,11 @@ def invert_shadow(s: GtShadow) -> GtShadow:
 
     m inverts through the odd-part formula (2m+1)(2m~+1) = 1 mod 2 N_ord,
     i.e. m~ = -(2m+1)^-1 m.  f~ comes from the bijection F2/K_F2 ->
-    F2/N_F2 induced by E_{m,f}: tabulate it on every element and take the
-    preimage of the inverse of f's image.
+    F2/N_F2 induced by E_{m,f}: it is tabulated along the source quotient's
+    Schreier tree, one product per element (x -> x^(2m+1), y -> F^-1
+    y^(2m+1) F on the images), and f~ is the preimage of the inverse of
+    f's image.  :func:`~braidshadow.words.e_endo` is the word-level
+    reference for the same map.
     """
     d = s.target.data
     k = 2 * s.m + 1
@@ -289,15 +325,16 @@ def invert_shadow(s: GtShadow) -> GtShadow:
     m_inv = (-k_inv * s.m) % d.n_ord
     source = shadow_source(s)
     sd = source.data
-    table: dict[Permutation, Permutation] = {}
-    for elt in sd.f2_quotient.elements_in_order:
-        word = sd.f2_quotient.word_of(elt)
-        table[d.f2_quotient.evaluate(e_endo(s.m, s.f_word, word))] = elt
+    big_f = s.f_elt
+    images = sd.f2_quotient.tree_images(
+        (d.x_image**k, big_f.inverse() * d.y_image**k * big_f)
+    )
+    table = {image: j for j, image in enumerate(images)}
     if len(table) != d.f2_quotient.order or sd.f2_quotient.order != d.f2_quotient.order:
         raise InternalInconsistencyError(
             f"induced map on F2 cosets is not a bijection for {s!r}"
         )
-    f_elt = table[s.f_elt.inverse()]
+    f_elt = sd.f2_quotient.elements_in_order[table[big_f.inverse()]]
     try:
         f_word = sd.f2_commutator.word_of(f_elt)
     except KeyError:

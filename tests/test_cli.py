@@ -370,6 +370,23 @@ def test_cache_survives_corruption(files, tmp_path, capsys, junk):
     capsys.readouterr()
 
 
+def test_cache_key_holds_the_caps(files, tmp_path, capsys):
+    # an entry written by an uncapped run must not answer a capped one
+    cache = str(tmp_path / "c")
+    assert run_command(["shadows", files["cat04"], "--cache-dir", cache]) == 0
+    capsys.readouterr()
+    code = run_command(
+        ["shadows", files["cat04"], "--cache-dir", cache, "--max-candidates", "1"]
+    )
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: candidate cap exceeded")
+    assert run_command(
+        ["shadows", files["cat04"], "--cache-dir", cache, "--max-group-size", "50000"]
+    ) == 0
+    assert len(os.listdir(cache)) == 2
+    capsys.readouterr()
+
+
 def test_cache_dir_from_environment(files, tmp_path, monkeypatch, capsys):
     env_dir = tmp_path / "envcache"
     monkeypatch.setenv("BRAIDSHADOW_CACHE", str(env_dir))

@@ -292,6 +292,26 @@ def test_is_generating_set():
         is_generating_set(G, [Permutation((1, 0, 3, 2))])
 
 
+_S5 = generate_group([Permutation((1, 0, 2, 3, 4)), Permutation((1, 2, 3, 4, 0))])
+
+
+@hypothesis.given(strat.lists(strat.integers(0, 119), max_size=3))
+@hypothesis.settings(max_examples=80, deadline=None)
+def test_is_generating_set_against_closure_order(picks):
+    elems = [_S5.elements_in_order[i] for i in picks]
+    expected = bool(elems) and closure_order(elems) == _S5.order
+    assert is_generating_set(_S5, elems) is expected
+
+
+@hypothesis.given(strat.lists(perms6, min_size=1, max_size=3), strat.data())
+@hypothesis.settings(max_examples=40, deadline=None)
+def test_tree_images_evaluate_the_tree_words(gens, data):
+    G = generate_group(gens)
+    images = [data.draw(perms5) for _ in gens]
+    expected = [evaluate_word(G.word_of(p), images) for p in G.elements_in_order]
+    assert G.tree_images(images) == expected
+
+
 @hypothesis.given(strat.lists(perms6, min_size=1, max_size=3))
 @hypothesis.settings(max_examples=40, deadline=None)
 def test_generated_group_closure_law(gens):

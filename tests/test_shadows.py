@@ -12,11 +12,13 @@ from braidshadow.perms import (
     GenHom,
     Permutation,
     block_sum,
+    closure_order,
     kernel_contained,
     kernels_equal,
 )
 from braidshadow.shadows import (
     GtShadow,
+    _hexagon_points,
     check_hexagons,
     check_simplified_hexagons,
     compose_shadows,
@@ -44,6 +46,7 @@ from braidshadow.words import (
     TAG_F2,
     X,
     Y,
+    e_endo,
     embed_f2_in_b3,
     empty_word,
     tau,
@@ -170,6 +173,48 @@ def test_enumeration_matches_pointwise_test(catalog4):
             for elt in d.f2_commutator.elements_in_order:
                 f = d.f2_commutator.word_of(elt)
                 assert is_shadow(N, m, f) == ((m, elt) in keys)
+
+
+def test_word_free_enumeration_matches_the_word_level_reference(
+    pb3, catalog4, cat09, cat10
+):
+    # reference: simplified hexagons on spelled words at every grid point,
+    # then surjectivity by a permutation closure
+    for N in [pb3, *catalog4, cat09, cat10]:
+        d = N.data
+        comm = d.f2_commutator
+        units = [m for m in range(d.n_ord) if math.gcd(2 * m + 1, d.n_ord) == 1]
+        grid = [
+            (m, elt) for m in units for elt in comm.elements_in_order
+            if check_simplified_hexagons(N, m, comm.word_of(elt))
+        ]
+        assert list(_hexagon_points(N, units)) == grid, N.label
+        onto = [
+            (m, elt) for m, elt in grid
+            if closure_order(
+                (d.x_image ** (2 * m + 1), elt.inverse() * d.y_image ** (2 * m + 1) * elt)
+            ) == d.f2_quotient.order
+        ]
+        got = [(s.m, s.f_word, s.f_elt) for s in enumerate_shadows(N)]
+        assert got == [(m, comm.word_of(elt), elt) for m, elt in onto], N.label
+
+
+def test_tree_spelled_inversion_matches_the_e_endo_table(pb3, catalog4, cat09, cat10):
+    for N in [pb3, *catalog4, cat09, cat10]:
+        d = N.data
+        for s in enumerate_shadows(N):
+            q = shadow_source(s).data.f2_quotient
+            k = 2 * s.m + 1
+            images = q.tree_images(
+                (d.x_image**k, s.f_elt.inverse() * d.y_image**k * s.f_elt)
+            )
+            reference = [
+                d.f2_quotient.evaluate(e_endo(s.m, s.f_word, q.word_of(elt)))
+                for elt in q.elements_in_order
+            ]
+            assert images == reference, s
+            table = dict(zip(reference, q.elements_in_order))
+            assert invert_shadow(s).f_elt == table[s.f_elt.inverse()], s
 
 
 def test_enumeration_is_memoized_but_copied(catalog4):

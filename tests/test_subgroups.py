@@ -8,6 +8,7 @@ import pytest
 
 from braidshadow.errors import (
     BraidRelationError,
+    GroupSizeCapExceeded,
     InternalInconsistencyError,
     KernelNotInPb3Error,
 )
@@ -269,6 +270,17 @@ def test_catalog_degree_six_adds_no_kernel():
         return [(N.degree, N.data.index_pb3, N.content_id) for N in catalog]
 
     assert rows(catalog_search(6)) == rows(catalog_search(5))
+
+
+def test_kernel_containment_is_capped_by_the_first_image():
+    # ker(rho) = PB3 is not inside ker(cat06): the paired closure passes
+    # |im rho| = 6 and stops, long before cat06's 360-element image would
+    # pass the size cap.  The cap still guards the first image itself.
+    cat06 = catalog_search(5)[6]
+    assert cat06.data.b3_quotient.order == 360
+    assert not kernel_contained(rho(), cat06.hom, max_size=100)
+    with pytest.raises(GroupSizeCapExceeded):
+        kernel_contained(cat06.hom, rho(), max_size=100)
 
 
 def test_b3_quotient_order_against_saturation_oracle(catalog4):

@@ -135,6 +135,27 @@ def test_tau_order_three(w):
     assert tau(tau(tau(w))) == w
 
 
+# The conjugation forms that shadows.enumerate_shadows evaluates in B3/N.
+_U = SIGMA1 * SIGMA2
+
+
+@hypothesis.given(words(TAG_F2, 8))
+@hypothesis.settings(max_examples=40, deadline=None)
+def test_theta_is_conjugation_by_delta(w):
+    assert artin_equal(
+        embed_f2_in_b3(theta(w)), DELTA * embed_f2_in_b3(w) * DELTA.inv()
+    )
+
+
+@hypothesis.given(words(TAG_F2, 8))
+@hypothesis.settings(max_examples=40, deadline=None)
+def test_tau_is_conjugation_by_sigma1_sigma2_up_to_c(w):
+    _, e_y = w.exponent_sums()
+    assert artin_equal(
+        embed_f2_in_b3(tau(w)), _U * embed_f2_in_b3(w) * _U.inv() * C_WORD ** (-e_y)
+    )
+
+
 @hypothesis.given(words(TAG_F2), words(TAG_F2))
 def test_substitution_is_homomorphic(u, v):
     images = (Y * X * Y.inv(), X * Y)
