@@ -63,7 +63,10 @@ _SUBGROUP_FIELDS = {"schema", "label", "degree", "sigma1", "sigma2"}
 def load_subgroup(path: str, max_group_size: int = DEFAULT_GROUP_SIZE_CAP) -> NfiSubgroup:
     """Read and validate one subgroup file (strict schema 1)."""
     with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     if doc.get("schema") != 1:
@@ -144,7 +147,7 @@ def _cache_get(args, content: dict):
     try:
         with open(os.path.join(_cache_dir(args), key + ".json"), encoding="utf-8") as fh:
             entry = json.load(fh)
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
     if not isinstance(entry, dict) or entry.get("key") != key:
         return None

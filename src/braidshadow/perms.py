@@ -2,12 +2,13 @@
 
 Desk-scale philosophy: every group that shows up (quotients B3/N, PB3/N,
 F2/N_F2 and friends) is small enough to enumerate outright, so there are no
-stabilizer chains, just one breadth-first closure and a kernel-containment
-test that never materializes a kernel.  The closure records a Schreier tree
-(how each element was first reached) and the right-multiplication table; a
-group spells an element's word only when asked for it, and tests whether
-generator images define an automorphism, or whether given elements generate
-it, on that table alone.
+stabilizer chains, just one breadth-first closure.  It records a Schreier
+tree and the right-multiplication table; a group spells words only on
+demand, and decides on the tables alone whether generator images define an
+automorphism, whether it maps onto another such group generator by generator
+(for two quotients of B3: whether one kernel lies in the other), and whether
+given elements generate it.  The paired-image closure of
+:func:`kernel_contained` is kept as the tests' reference for kernel questions.
 
 Composition convention (used everywhere, including word evaluation): the
 product ``p * q`` means "apply p first, then q".
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -129,7 +129,7 @@ class GeneratedGroup:
 
     ``right[g][i]`` is the index of ``elements_in_order[i] * generators[g]``:
     the group's right-multiplication table, which :meth:`is_automorphism`
-    works on with integers only.
+    and :meth:`maps_onto` work on with integers only.
     """
 
     def __init__(
@@ -238,16 +238,28 @@ class GeneratedGroup:
             out.append(out[parent[j]] * images[via[j]])
         return out
 
+    def _spelled_map(self, tables: Sequence[list[int]]) -> list[int] | None:
+        """The homomorphism a with a(x gen_g) = tables[g][a(x)] on indices, or None.
+
+        a is spelled along the Schreier tree, a[j] = tables[via[j]][a[parent[j]]],
+        then checked on every edge of ``right``; None if an edge disagrees.
+        """
+        parent, via = self._parent, self._via
+        a = [0]
+        for j in range(1, self.order):
+            a.append(tables[via[j]][a[parent[j]]])
+        for table, t in zip(self.right, tables):
+            if any(a[j] != t[a[i]] for i, j in enumerate(table)):
+                return None
+        return a
+
     def is_automorphism(self, images: Sequence[Permutation]) -> bool:
         """Does generator i -> images[i] extend to an injective endomorphism?
 
-        Integer work on the multiplication table only; no closure.  The
-        candidate map a is spelled along the Schreier tree, a(x gen_g) =
-        a(x) t_g for tree edges, with right multiplication by t read from
-        :meth:`_right_table`.  It is a well-defined homomorphism iff that
-        rule holds on every edge of the table, and then injective iff it
-        takes ``order`` distinct values.  An image outside the group gives
-        False.
+        Integer work on the multiplication table only, right multiplication
+        by each image read from :meth:`_right_table`; injective iff the
+        spelled map takes ``order`` distinct values.  An image outside the
+        group gives False.
         """
         if len(images) != len(self.generators):
             raise ValueError(
@@ -255,14 +267,19 @@ class GeneratedGroup:
             )
         if any(p not in self._index for p in images):
             return False
-        times = [self._right_table(p) for p in images]  # times[g][i]: i * images[g]
-        a = [0]
-        for j in range(1, self.order):
-            a.append(times[self._via[j]][a[self._parent[j]]])
-        for table, t in zip(self.right, times):
-            if any(a[j] != t[a[i]] for i, j in enumerate(table)):
-                return False
-        return len(set(a)) == self.order
+        a = self._spelled_map([self._right_table(p) for p in images])
+        return a is not None and len(set(a)) == self.order
+
+    def maps_onto(self, other: "GeneratedGroup") -> bool:
+        """Does generator i -> other.generators[i] extend to a homomorphism?
+
+        Such a map is onto.  For two quotients B3/N and B3/H by the same
+        generators, it exists exactly when N <= H.  Integer work on the two
+        multiplication tables; degrees may differ.
+        """
+        if len(other.generators) != len(self.generators):
+            raise ValueError(f"need {len(self.generators)} generators")
+        return self._spelled_map(other.right) is not None
 
 
 def evaluate_word(w: FreeWord, images: Sequence[Permutation]) -> Permutation:
@@ -420,66 +437,42 @@ class GenHom:
         return evaluate_word(w, self.images)
 
 
-@lru_cache(maxsize=65536)
-def _image_order(images: tuple[Permutation, ...], max_size: int) -> int:
-    return closure_order(images, max_size=max_size)
+def kernel_contained(
+    hom1: GenHom, hom2: GenHom, max_size: int = DEFAULT_GROUP_SIZE_CAP
+) -> bool:
+    """True iff ker(hom1) <= ker(hom2), by the paired-image closure.
 
-
-def _same_images(hom1: GenHom, hom2: GenHom) -> bool:
-    """Identical images, hence equal kernels with no closure.
-
-    Raises DomainTagMismatchError when the domains differ.
+    The projection im(hom1 x hom2) -> im(hom1) is always onto, and it is
+    injective exactly when every word killed by hom1 is killed by hom2.  So
+    the kernels nest iff the paired image is no bigger than im(hom1), and
+    the paired closure runs with |im(hom1)| as its cap.  Only im(hom1)
+    itself must fit in ``max_size``.  The tests' reference for
+    :meth:`GeneratedGroup.maps_onto`; the library does not call it.
     """
     if hom1.domain_tag != hom2.domain_tag:
         raise DomainTagMismatchError(
             f"domain mismatch: {hom1.domain_tag} vs {hom2.domain_tag}"
         )
-    return hom1.images == hom2.images
-
-
-@lru_cache(maxsize=65536)
-def _paired_within(
-    images1: tuple[Permutation, ...], images2: tuple[Permutation, ...], bound: int
-) -> bool:
-    """Do the paired images (images1[i], images2[i]) generate at most
-    ``bound`` elements?  The closure stops one element past the bound, so a
-    "no" never enumerates the rest."""
-    paired = tuple(block_sum(p, q) for p, q in zip(images1, images2))
+    if hom1.images == hom2.images:
+        return True
+    order1 = closure_order(hom1.images, max_size=max_size)
+    paired = [block_sum(p, q) for p, q in zip(hom1.images, hom2.images)]
     try:
-        closure_order(paired, max_size=bound)
+        closure_order(paired, max_size=order1)
     except GroupSizeCapExceeded:
         return False
     return True
 
 
-def kernel_contained(
-    hom1: GenHom, hom2: GenHom, max_size: int = DEFAULT_GROUP_SIZE_CAP
-) -> bool:
-    """True iff ker(hom1) <= ker(hom2), without enumerating either kernel.
-
-    The pairing trick: the projection im(hom1 x hom2) -> im(hom1) is always
-    onto, and it is injective exactly when every word killed by hom1 is
-    killed by hom2.  So the kernels nest iff the paired image is no bigger
-    than im(hom1), and the paired closure runs with |im(hom1)| as its cap.
-    Only im(hom1) itself must fit in ``max_size``.
-    """
-    if _same_images(hom1, hom2):
-        return True
-    order1 = _image_order(hom1.images, max_size)
-    return _paired_within(hom1.images, hom2.images, order1)
-
-
 def kernels_equal(
     hom1: GenHom, hom2: GenHom, max_size: int = DEFAULT_GROUP_SIZE_CAP
 ) -> bool:
-    """ker(hom1) == ker(hom2): images of one order, then one paired closure
-    capped at that order instead of two containment tests."""
-    if _same_images(hom1, hom2):
-        return True
-    order1 = _image_order(hom1.images, max_size)
-    if order1 != _image_order(hom2.images, max_size):
-        return False
-    return _paired_within(hom1.images, hom2.images, order1)
+    """ker(hom1) == ker(hom2), as two containment tests.
+
+    Each test is capped by its own first image, and the second runs only
+    when ker(hom1) <= ker(hom2), so |im(hom2)| <= |im(hom1)| fits as well.
+    """
+    return kernel_contained(hom1, hom2, max_size) and kernel_contained(hom2, hom1, max_size)
 
 
 def is_generating_set(G: GeneratedGroup, elems: Iterable[Permutation]) -> bool:

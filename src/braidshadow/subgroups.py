@@ -2,10 +2,11 @@
 
 A subgroup is always stored as the kernel of an explicit homomorphism
 B3 -> (finite permutation group), given by the images of sigma_1 and
-sigma_2.  That makes equality and containment decidable by the paired-image
-trick, at the cost of the permutation realization being non-canonical: the
-same kernel may appear with different degrees.  ``content_id`` hashes the
-realization, not the kernel.
+sigma_2, and B3/N is enumerated once, when the subgroup is built.  N <= H
+iff B3/N maps onto B3/H generator by generator, checked on the two
+multiplication tables; N <= PB3 is the same check against S3.  The
+realization is non-canonical: the same kernel may appear with different
+degrees.  ``content_id`` hashes the realization, not the kernel.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ from .perms import (
     block_sum,
     commutator_subgroup,
     generate_group,
-    kernel_contained,
-    kernels_equal,
 )
 from .words import (
     TAG_B3,
@@ -45,6 +44,9 @@ DEFAULT_CATALOG_DEGREE_LIMIT = 6
 def rho() -> GenHom:
     """The projection B3 -> S3: sigma_1 -> (0 1), sigma_2 -> (1 2)."""
     return GenHom(TAG_B3, (Permutation((1, 0, 2)), Permutation((0, 2, 1))))
+
+
+_S3 = generate_group(rho().images, tag=TAG_B3)  # B3/PB3
 
 
 def content_id(images: tuple[Permutation, Permutation]) -> str:
@@ -81,7 +83,7 @@ class NfiSubgroup:
     Equality and hashing compare the stored *realization* (degree and
     generator images); use :func:`nfi_equal` for kernel equality.  State
     derived from N (its quotient data and its shadow list) lives on the
-    object and is dropped with it.
+    object and is dropped with it; B3/N itself is enumerated on construction.
     """
 
     def __init__(self, hom: GenHom, label: str, max_group_size: int = DEFAULT_GROUP_SIZE_CAP):
@@ -89,6 +91,7 @@ class NfiSubgroup:
         self.label = label
         self.max_group_size = max_group_size
         self.content_id = content_id(hom.images)
+        self.b3_quotient = generate_group(hom.images, tag=TAG_B3, max_size=max_group_size)
         self._data: QuotientData | None = None
         self._shadows = None  # GT(N), memoized by shadows.enumerate_shadows
 
@@ -99,18 +102,13 @@ class NfiSubgroup:
     @property
     def data(self) -> QuotientData:
         if self._data is None:
-            self._data = _compute_quotient_data(self.hom, self.max_group_size)
+            self._data = _compute_quotient_data(self.b3_quotient, self.max_group_size)
         return self._data
 
     def f2_hom(self) -> GenHom:
         """The restriction to F2: images of x and y."""
         g1, g2 = self.hom.images
         return GenHom(TAG_F2, (g1 * g1, g2 * g2))
-
-    def pb3_hom(self) -> GenHom:
-        """The restriction to PB3: images of x12, x23 and c."""
-        d = self.data
-        return GenHom(TAG_PB3, (d.x_image, d.y_image, d.c_image))
 
     def evaluate_f2(self, w: FreeWord) -> Permutation:
         """Image of an F2 word in the quotient F2/N_F2."""
@@ -128,13 +126,12 @@ class NfiSubgroup:
         return hash(self.hom.images)
 
 
-def _compute_quotient_data(hom: GenHom, max_size: int) -> QuotientData:
-    g1, g2 = hom.images
+def _compute_quotient_data(b3_quotient: GeneratedGroup, max_size: int) -> QuotientData:
+    g1, g2 = b3_quotient.generators
     xbar = g1 * g1
     ybar = g2 * g2
     delta = g1 * g2 * g1
     cbar = delta * delta
-    b3_quotient = generate_group([g1, g2], tag=TAG_B3, max_size=max_size)
     pb3_quotient = generate_group([xbar, ybar, cbar], tag=TAG_PB3, max_size=max_size)
     f2_quotient = generate_group([xbar, ybar], tag=TAG_F2, max_size=max_size)
     f2_comm = commutator_subgroup(f2_quotient, max_size=max_size)
@@ -171,16 +168,17 @@ def new_nfi(
     """Validate generator images and wrap them as a subgroup-by-kernel.
 
     Raises BraidRelationError if the braid relation fails and
-    KernelNotInPb3Error if the kernel is not contained in ker(rho) = PB3.
+    KernelNotInPb3Error if the kernel is not contained in ker(rho) = PB3,
+    that is, if B3/N does not map onto S3 by sigma_i -> rho(sigma_i).
     """
-    hom = GenHom(TAG_B3, tuple(images))
-    if not kernel_contained(hom, rho(), max_size=max_group_size):
+    N = NfiSubgroup(GenHom(TAG_B3, tuple(images)), label, max_group_size=max_group_size)
+    if not N.b3_quotient.maps_onto(_S3):
         raise KernelNotInPb3Error(
             f"kernel of {label or 'homomorphism'} is not contained in PB3"
         )
     if not label:
-        label = f"N-{content_id(hom.images)[:8]}"
-    return NfiSubgroup(hom, label, max_group_size=max_group_size)
+        N.label = f"N-{N.content_id[:8]}"
+    return N
 
 
 def pb3_subgroup() -> NfiSubgroup:
@@ -193,13 +191,13 @@ def quotient_data(N: NfiSubgroup) -> QuotientData:
 
 
 def nfi_contains(N: NfiSubgroup, H: NfiSubgroup) -> bool:
-    """True iff N <= H as subgroups of B3."""
-    return kernel_contained(N.hom, H.hom, max_size=max(N.max_group_size, H.max_group_size))
+    """True iff N <= H as subgroups of B3: B3/N maps onto B3/H."""
+    return N == H or N.b3_quotient.maps_onto(H.b3_quotient)
 
 
 def nfi_equal(N: NfiSubgroup, K: NfiSubgroup) -> bool:
-    """True iff N and K are the same kernel (mutual containment)."""
-    return kernels_equal(N.hom, K.hom, max_size=max(N.max_group_size, K.max_group_size))
+    """True iff N and K are the same kernel: N <= K and |B3/N| = |B3/K|."""
+    return N.b3_quotient.order == K.b3_quotient.order and nfi_contains(N, K)
 
 
 def nfi_intersect(

@@ -120,6 +120,15 @@ def test_exit_code_two_on_file_problems(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_deeply_nested_subgroup_file_exits_two(tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000, encoding="utf-8")
+    assert run_command(["info", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_exit_code_two_on_usage_errors(capsys):
     assert run_command([]) == 2
     assert run_command(["no-such-command"]) == 2
@@ -354,8 +363,8 @@ def test_cache_makes_output_reproducible(files, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "junk",
-    ["junk", "[]", "5", '{"payload": 5}', '{"payload": {}}'],
-    ids=["junk", "list", "number", "payload-number", "payload-without-key"],
+    ["junk", "[]", "5", '{"payload": 5}', '{"payload": {}}', "[" * 200_000 + "]" * 200_000],
+    ids=["junk", "list", "number", "payload-number", "payload-without-key", "deep"],
 )
 def test_cache_survives_corruption(files, tmp_path, capsys, junk):
     cache = tmp_path / "c"

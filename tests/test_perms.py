@@ -376,6 +376,28 @@ def test_is_automorphism_rejects_images_outside_the_group():
         G.is_automorphism([C3, C3])
 
 
+perms4 = strat.permutations(range(4)).map(lambda xs: Permutation(tuple(xs)))
+
+
+@hypothesis.given(
+    strat.lists(perms4, min_size=2, max_size=2), strat.lists(perms4, min_size=2, max_size=2)
+)
+@hypothesis.settings(max_examples=60, deadline=None)
+def test_maps_onto_against_kernel_contained(gens1, gens2):
+    G1, G2 = generate_group(gens1), generate_group(gens2)
+    expected = kernel_contained(GenHom(TAG_F2, gens1), GenHom(TAG_F2, gens2))
+    assert G1.maps_onto(G2) == expected
+
+
+def test_maps_onto_a_quotient():
+    S3 = generate_group([T01, T12])
+    sign = generate_group([SWAP, SWAP])
+    assert S3.maps_onto(sign)
+    assert not sign.maps_onto(S3)
+    with pytest.raises(ValueError):
+        generate_group([C3]).maps_onto(S3)
+
+
 def test_evaluate_word_with_inverses():
     w = FreeWord(TAG_F2, ((0, 1), (1, -1), (0, 1)))
     assert evaluate_word(w, (C3, T01)) == C3 * T01.inverse() * C3

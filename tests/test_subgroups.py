@@ -6,13 +6,20 @@ import weakref
 
 import pytest
 
+from braidshadow import perms, subgroups
 from braidshadow.errors import (
     BraidRelationError,
     GroupSizeCapExceeded,
     InternalInconsistencyError,
     KernelNotInPb3Error,
 )
-from braidshadow.perms import GenHom, Permutation, block_sum, kernel_contained
+from braidshadow.perms import (
+    GenHom,
+    Permutation,
+    block_sum,
+    kernel_contained,
+    kernels_equal,
+)
 from braidshadow.shadows import enumerate_shadows
 from braidshadow.subgroups import (
     NfiSubgroup,
@@ -279,8 +286,54 @@ def test_kernel_containment_is_capped_by_the_first_image():
     cat06 = catalog_search(5)[6]
     assert cat06.data.b3_quotient.order == 360
     assert not kernel_contained(rho(), cat06.hom, max_size=100)
+    assert not kernels_equal(rho(), cat06.hom, max_size=100)
     with pytest.raises(GroupSizeCapExceeded):
         kernel_contained(cat06.hom, rho(), max_size=100)
+
+
+def test_table_checks_match_the_paired_closure(pb3, cat09, cat10):
+    # nfi_contains and nfi_equal work on the quotients' multiplication
+    # tables; the paired-image closure is the reference
+    pool = [pb3, *catalog_search(5), cat09, cat10, nfi_intersect([cat09, cat10])]
+    contains, equal = set(), set()
+    for A, B in itertools.product(pool, repeat=2):
+        got = nfi_contains(A, B)
+        assert got == kernel_contained(A.hom, B.hom), (A, B)
+        contains.add(got)
+        got = nfi_equal(A, B)
+        assert got == kernels_equal(A.hom, B.hom), (A, B)
+        equal.add(got)
+    assert contains == equal == {True, False}
+
+
+def test_pb3_check_matches_the_paired_closure(cat09):
+    inside = cat09.hom
+    assert kernel_contained(inside, rho())
+    assert new_nfi(inside.images) == cat09
+    swap = Permutation((1, 0))
+    outside = GenHom("B3", (swap, swap))
+    assert not kernel_contained(outside, rho())
+    with pytest.raises(KernelNotInPb3Error):
+        new_nfi(outside.images)
+
+
+def test_b3_quotient_is_enumerated_once(monkeypatch, pb3, catalog4):
+    # across new_nfi, the quotient data and both kernel comparisons
+    pad = Permutation((0,))
+    images = tuple(block_sum(g, pad) for g in catalog4[-1].hom.images)
+    calls = []
+    original = perms.generate_group
+
+    def counting(gens, *args, **kwargs):
+        calls.append(tuple(gens))
+        return original(gens, *args, **kwargs)
+
+    monkeypatch.setattr(perms, "generate_group", counting)
+    monkeypatch.setattr(subgroups, "generate_group", counting)
+    N = new_nfi(images)
+    N.data
+    assert nfi_contains(N, pb3) and not nfi_equal(N, pb3)
+    assert calls.count(images) == 1
 
 
 def test_b3_quotient_order_against_saturation_oracle(catalog4):
