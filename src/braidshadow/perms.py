@@ -1,14 +1,15 @@
 """Finite permutation group machinery built from scratch.
 
-Desk-scale philosophy: every group that shows up (quotients B3/N, PB3/N,
-F2/N_F2 and friends) is small enough to enumerate outright, so there are no
-stabilizer chains, just one breadth-first closure.  It records a Schreier
-tree and the right-multiplication table; a group spells words only on
-demand, and decides on the tables alone whether generator images define an
-automorphism, whether it maps onto another such group generator by generator
-(for two quotients of B3: whether one kernel lies in the other), and whether
-given elements generate it.  The paired-image closure of
-:func:`kernel_contained` is kept as the tests' reference for kernel questions.
+Desk-scale philosophy: every group that shows up (quotients B3/N and
+F2/N_F2, and the latter's commutator subgroup) is small enough to enumerate
+outright, so there are no stabilizer chains, just one breadth-first closure.
+It records a Schreier tree and the right-multiplication table; a group
+spells words only on demand, and decides on the tables alone whether
+generator images define an automorphism, whether it maps onto another such
+group generator by generator (for two quotients of B3: whether one kernel
+lies in the other), and whether given elements generate it.  The
+paired-image closure of :func:`kernel_contained` is kept as the tests'
+reference for kernel questions.
 
 Composition convention (used everywhere, including word evaluation): the
 product ``p * q`` means "apply p first, then q".
@@ -16,6 +17,7 @@ product ``p * q`` means "apply p first, then q".
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -353,34 +355,25 @@ def commutator_subgroup(
     particular all exponent sums vanish, which is what "lies in [F2,F2]"
     means when G is a two-generator quotient of F2.
     """
+    letters = [(a, FreeWord(G.tag, ((i, 1),))) for i, a in enumerate(G.generators)]
+    comms: list[tuple[Permutation, FreeWord]] = []
+    for (a, aw), (b, bw) in itertools.combinations(letters, 2):
+        comm = a * b * a.inverse() * b.inverse()
+        comm_word = aw * bw * aw.inv() * bw.inv()
+        comms += [(comm, comm_word), (comm.inverse(), comm_word.inv())]
     seeds: list[Permutation] = []
     seed_words: list[FreeWord] = []
     seen: set[Permutation] = set()
-    k = len(G.generators)
-    base_letters = [FreeWord(G.tag, ((i, 1),)) for i in range(k)]
     for g in G.elements_in_order:
         g_word = G.word_of(g)
         g_inv = g.inverse()
-        for i in range(k):
-            for j in range(i + 1, k):
-                a, b = G.generators[i], G.generators[j]
-                comm = a * b * a.inverse() * b.inverse()
-                comm_word = (
-                    base_letters[i]
-                    * base_letters[j]
-                    * base_letters[i].inv()
-                    * base_letters[j].inv()
-                )
-                for perm, w in (
-                    (comm, comm_word),
-                    (comm.inverse(), comm_word.inv()),
-                ):
-                    conj = g * perm * g_inv
-                    if conj.is_identity() or conj in seen:
-                        continue
-                    seen.add(conj)
-                    seeds.append(conj)
-                    seed_words.append(g_word * w * g_word.inv())
+        for perm, w in comms:
+            conj = g * perm * g_inv
+            if conj.is_identity() or conj in seen:
+                continue
+            seen.add(conj)
+            seeds.append(conj)
+            seed_words.append(g_word * w * g_word.inv())
     if not seeds:
         seeds, seed_words = [G.identity], [empty_word(G.tag)]
     return generate_group(

@@ -102,7 +102,8 @@ def check_hexagons(N: NfiSubgroup, m: int, f: FreeWord) -> bool:
     f^-1 sigma_2^(2m+1) f sigma_1^(2m+1)  =  sigma_2 sigma_1 y^-m c^m f
 
     m is reduced mod N_ord first, which is exact: sigma_i^(2m+1) =
-    sigma_i (sigma_i^2)^m, and x, y and c have orders dividing N_ord.
+    sigma_i (sigma_i^2)^m, and x, y and c have orders dividing N_ord.  The
+    word-level reference for :func:`is_shadow`; the library does not call it.
     """
     m %= N.data.n_ord
     k = 2 * m + 1
@@ -152,9 +153,12 @@ def _t_f2_onto(N: NfiSubgroup, m: int, big_f: Permutation) -> bool:
 def is_shadow(N: NfiSubgroup, m: int, f: FreeWord) -> bool:
     """Full membership test: unit, commutator coset, hexagons, surjectivity.
 
-    m is reduced mod N_ord before any word is built.  That is exact: x, y
-    and c have orders dividing N_ord, sigma_i^(2m+1) = sigma_i (sigma_i^2)^m,
-    and gcd(2m+1, N_ord) only depends on m mod N_ord.
+    Only f's image F in F2/N_F2 is used, and the hexagons are the
+    conjugation tests of :func:`_hexagon_points`.  That is exact for any
+    word f whose image lies in the commutator subgroup: the hexagons of
+    :func:`check_hexagons` depend only on m mod N_ord and on F, some
+    commutator word has image F, and on a commutator word the full and the
+    simplified hexagons agree.  gcd(2m+1, N_ord) only depends on m mod N_ord.
     """
     d = N.data
     m %= d.n_ord
@@ -163,9 +167,8 @@ def is_shadow(N: NfiSubgroup, m: int, f: FreeWord) -> bool:
     big_f = d.f2_quotient.evaluate(f)
     if big_f not in d.f2_commutator:
         return False
-    if not check_hexagons(N, m, f):
-        return False
-    return _t_f2_onto(N, m, big_f)
+    hexagons = _theta_hexagon(N, big_f) and _tau_hexagon(N, m)(big_f)
+    return hexagons and _t_f2_onto(N, m, big_f)
 
 
 def t_hom(s: GtShadow) -> GenHom:
@@ -222,36 +225,42 @@ def shadow_source(s: GtShadow) -> NfiSubgroup:
     return s._source
 
 
+def _theta_hexagon(N: NfiSubgroup, big_f: Permutation) -> bool:
+    """f theta(f) in N_F2, on f's image F: F Delta F Delta^-1 = 1 in B3/N."""
+    delta = N.data.delta_image
+    return big_f * delta * big_f == delta
+
+
+def _tau_hexagon(N: NfiSubgroup, m: int):
+    """The test of f's image F for tau^2(g) tau(g) g in N_F2, g = y^m f:
+    u^2 G u^-2 u G u^-1 c^-m G = 1 in B3/N, G = y^m F, u = sigma_1 sigma_2."""
+    d = N.data
+    g1, g2 = N.hom.images
+    u = g1 * g2
+    u2, u_inv = u * u, u.inverse()
+    y_m, u_inv_c_m = d.y_image**m, u_inv * d.c_image ** (-m)
+
+    def holds(big_f: Permutation) -> bool:
+        G = y_m * big_f
+        return (u2 * G * u_inv * G * u_inv_c_m * G).is_identity()
+
+    return holds
+
+
 def _hexagon_points(N: NfiSubgroup, units: list[int]):
     """The grid points (m, F) that satisfy the simplified hexagons, in
     (m ascending, F discovery order), worked on B3/N's elements.
 
     In B3, theta(w) = Delta w Delta^-1 and tau(w) = u w u^-1 c^(-e_y(w))
-    with u = sigma_1 sigma_2.  So for a commutator f with image F and
-    g = y^m f with image G, the two memberships of
-    :func:`check_simplified_hexagons` read
-
-        F Delta F Delta^-1 = 1   and   u^2 G u^-2 u G u^-1 c^-m G = 1.
-
-    The first does not involve m and filters each F once; no word is built.
+    with u = sigma_1 sigma_2, so for a commutator f with image F the two
+    memberships of :func:`check_simplified_hexagons` are
+    :func:`_theta_hexagon` and :func:`_tau_hexagon`.  The first does not
+    involve m and filters each F once; no word is built.
     """
-    d = N.data
-    delta, delta_inv = d.delta_image, d.delta_image.inverse()
-    flat = [
-        F for F in d.f2_commutator.elements_in_order
-        if (F * delta * F * delta_inv).is_identity()
-    ]
-    g1, g2 = N.hom.images
-    u = g1 * g2
-    u_inv = u.inverse()
-    u2 = u * u
+    flat = [F for F in N.data.f2_commutator.elements_in_order if _theta_hexagon(N, F)]
     for m in units:
-        y_m = d.y_image**m
-        c_m = d.c_image ** (-m)
-        for F in flat:
-            G = y_m * F
-            if (u2 * G * u_inv * G * u_inv * c_m * G).is_identity():
-                yield m, F
+        holds = _tau_hexagon(N, m)
+        yield from ((m, F) for F in flat if holds(F))
 
 
 def enumerate_shadows(

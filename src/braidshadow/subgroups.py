@@ -4,9 +4,10 @@ A subgroup is always stored as the kernel of an explicit homomorphism
 B3 -> (finite permutation group), given by the images of sigma_1 and
 sigma_2, and B3/N is enumerated once, when the subgroup is built.  N <= H
 iff B3/N maps onto B3/H generator by generator, checked on the two
-multiplication tables; N <= PB3 is the same check against S3.  The
-realization is non-canonical: the same kernel may appear with different
-degrees.  ``content_id`` hashes the realization, not the kernel.
+multiplication tables; N <= PB3 is the same check against S3, and then
+|PB3/N| = |B3/N| / 6, so PB3/N is never enumerated.  The realization is
+non-canonical: the same kernel may appear with different degrees.
+``content_id`` hashes the realization, not the kernel.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .perms import (
 from .words import (
     TAG_B3,
     TAG_F2,
-    TAG_PB3,
     TRANSVERSAL_LABELS,
     TRANSVERSAL_WORDS,
     FreeWord,
@@ -61,11 +61,11 @@ class QuotientData:
     ``f2_quotient`` is generated by the images of x = sigma_1^2 and
     y = sigma_2^2 with words over {x, y}; ``f2_commutator`` is its commutator
     subgroup with words that are literal products of conjugated commutators
-    (still over {x, y}).
+    (still over {x, y}).  PB3/N is not enumerated: B3/N maps onto
+    S3 = B3/PB3, so ``index_pb3`` = |PB3/N| = |B3/N| / 6.
     """
 
     b3_quotient: GeneratedGroup
-    pb3_quotient: GeneratedGroup
     f2_quotient: GeneratedGroup
     f2_commutator: GeneratedGroup
     n_ord: int
@@ -127,37 +127,30 @@ class NfiSubgroup:
 
 
 def _compute_quotient_data(b3_quotient: GeneratedGroup, max_size: int) -> QuotientData:
+    # ker <= PB3 is what makes |PB3/N| = |B3/N| / 6; new_nfi checks it, a
+    # directly built NfiSubgroup may not have.
+    if not b3_quotient.maps_onto(_S3):
+        raise InternalInconsistencyError(
+            "quotient bookkeeping broken: B3/N does not map onto B3/PB3"
+        )
     g1, g2 = b3_quotient.generators
     xbar = g1 * g1
     ybar = g2 * g2
     delta = g1 * g2 * g1
     cbar = delta * delta
-    pb3_quotient = generate_group([xbar, ybar, cbar], tag=TAG_PB3, max_size=max_size)
     f2_quotient = generate_group([xbar, ybar], tag=TAG_F2, max_size=max_size)
-    f2_comm = commutator_subgroup(f2_quotient, max_size=max_size)
-    n_ord = math.lcm(xbar.order(), ybar.order(), cbar.order())
-    data = QuotientData(
+    return QuotientData(
         b3_quotient=b3_quotient,
-        pb3_quotient=pb3_quotient,
         f2_quotient=f2_quotient,
-        f2_commutator=f2_comm,
-        n_ord=n_ord,
-        index_pb3=pb3_quotient.order,
+        f2_commutator=commutator_subgroup(f2_quotient, max_size=max_size),
+        n_ord=math.lcm(xbar.order(), ybar.order(), cbar.order()),
+        index_pb3=b3_quotient.order // 6,
         index_f2=f2_quotient.order,
         x_image=xbar,
         y_image=ybar,
         c_image=cbar,
         delta_image=delta,
     )
-    # ker <= PB3 forces the S3 quotient to survive whole.
-    if b3_quotient.order != 6 * pb3_quotient.order:
-        raise InternalInconsistencyError(
-            "quotient bookkeeping broken: |B3/N| != 6 |PB3/N| "
-            f"({b3_quotient.order} vs 6*{pb3_quotient.order})"
-        )
-    if any(p not in pb3_quotient for p in f2_quotient.elements_in_order):
-        raise InternalInconsistencyError("F2/N_F2 escaped PB3/N")
-    return data
 
 
 def new_nfi(
@@ -355,18 +348,18 @@ def catalog_search(
     have isomorphic quotients, so ``max_group_size`` trips on the same
     inputs as a scan without the skip.
 
-    Each remaining candidate is bucketed by the cheap invariants
-    (index_pb3, n_ord, index_f2) and compared by kernel equality only within
-    its bucket, so only kept candidates stay alive.  Output is sorted by
-    (index_pb3, content_id) and relabeled cat00, cat01, ... so repeated runs
-    agree byte for byte.
+    Each remaining candidate is compared with the kept ones by
+    :func:`nfi_equal`, whose |B3/N| comparison is the cheap first filter;
+    only B3/N is enumerated, no quotient data is built, and only kept
+    candidates stay alive.  Output is sorted by (|B3/N|, content_id), the
+    same order as (index_pb3, content_id), and relabeled cat00, cat01, ...
+    so repeated runs agree byte for byte.
     """
     if max_degree < 1 or max_degree > degree_limit:
         raise ValueError(
             f"max_degree must be in 1..{degree_limit}, got {max_degree}"
         )
     r1, r2 = rho().images
-    buckets: dict[tuple[int, int, int], list[NfiSubgroup]] = {}
     kept: list[NfiSubgroup] = []
     seen: set[tuple] = set()
     for degree in range(1, max_degree + 1):
@@ -378,13 +371,10 @@ def catalog_search(
             cand = new_nfi(
                 (block_sum(p, r1), block_sum(q, r2)), max_group_size=max_group_size
             )
-            d = cand.data
-            bucket = buckets.setdefault((d.index_pb3, d.n_ord, d.index_f2), [])
-            if not any(nfi_equal(cand, existing) for existing in bucket):
-                bucket.append(cand)
+            if not any(nfi_equal(cand, existing) for existing in kept):
                 kept.append(cand)
 
-    kept.sort(key=lambda s: (s.data.index_pb3, s.content_id))
+    kept.sort(key=lambda s: (s.b3_quotient.order, s.content_id))
     for i, entry in enumerate(kept):
         entry.label = f"cat{i:02d}"
     return kept

@@ -1,6 +1,9 @@
 import json
 import os
+from datetime import timedelta
 
+import hypothesis
+import hypothesis.strategies as strat
 import pytest
 
 from braidshadow.cli import (
@@ -424,3 +427,48 @@ def test_thread_count_never_changes_bytes(files, tmp_path, capsys):
     )
     assert out1.read_bytes() == out2.read_bytes()
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# fuzzed command lines
+
+_FILE_COUNT = {"catalog": (0, 0), "reduce": (2, 2), "survive": (2, 2), "mainline": (1, 3)}
+_CAPS = strat.sampled_from(["0", "1", "5", str(10**9)])
+
+
+@strat.composite
+def _argv(draw):
+    command = draw(strat.sampled_from([
+        "validate", "info", "shadows", "component", "diamond",
+        "reduce", "survive", "genuine", "catalog", "mainline",
+    ]))
+    low, high = _FILE_COUNT.get(command, (1, 1))
+    names = ["pb3", "cat00", "cat01", "cat02", "cat03", "cat04", "outside"]
+    argv = [command, *draw(strat.lists(strat.sampled_from(names), min_size=low, max_size=high))]
+    if command in ("reduce", "survive", "genuine"):
+        m = draw(strat.one_of(strat.integers(-10, 10), strat.sampled_from([-10**30, 10**30])))
+        argv += ["-m", str(m), "-f", draw(strat.text(alphabet="xyXYa", max_size=8))]
+    if command in ("genuine", "catalog"):
+        argv += ["--max-degree", str(draw(strat.integers(-1, 7)))]
+    for flag in ("--max-candidates", "--max-group-size", "--threads"):
+        if draw(strat.booleans()):
+            argv += [flag, draw(_CAPS)]
+    return argv
+
+
+@hypothesis.given(_argv())
+@hypothesis.settings(
+    max_examples=50,
+    deadline=timedelta(seconds=10),
+    suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture],
+)
+def test_fuzzed_command_lines_end_in_an_exit_code(files, tmp_path, capsys, argv):
+    # every run ends in 0, 1 or 2 with no traceback; the cache dir is shared
+    # across examples, so later ones also read what earlier ones wrote
+    outside = write_json(tmp_path, "outside.json", {
+        "schema": 1, "label": "outside", "degree": 2, "sigma1": [1, 0], "sigma2": [1, 0],
+    })
+    argv = [dict(files, outside=outside).get(a, a) for a in argv]
+    code = run_command([*argv, "--cache-dir", str(tmp_path / "c")])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err

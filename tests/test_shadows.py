@@ -165,14 +165,17 @@ def test_shadow_words_frozen(catalog4):
     ]
 
 
-def test_enumeration_matches_pointwise_test(catalog4):
-    for N in catalog4:
+def test_enumeration_matches_pointwise_test(catalog4, cat09, cat10):
+    # f x^k has f's image but a nonzero exponent sum: not a commutator word
+    for N in [*catalog4, cat09, cat10]:
         d = N.data
         keys = {s.key() for s in enumerate_shadows(N)}
+        x_k = X ** d.x_image.order()
         for m in range(d.n_ord):
             for elt in d.f2_commutator.elements_in_order:
                 f = d.f2_commutator.word_of(elt)
                 assert is_shadow(N, m, f) == ((m, elt) in keys)
+                assert is_shadow(N, m, f * x_k) == ((m, elt) in keys)
 
 
 def test_word_free_enumeration_matches_the_word_level_reference(

@@ -88,8 +88,11 @@ def test_quotient_structure_invariants(pb3, catalog4):
         assert math.lcm(*orders) == d.n_ord
         assert d.index_pb3 % d.index_f2 == 0
         assert d.delta_image * d.delta_image == d.c_image
+        # index_pb3 is read off |B3/N|; close PB3/N here to check it
+        P = perms.generate_group([d.x_image, d.y_image, d.c_image])
+        assert P.order == d.index_pb3
         for g in d.f2_quotient.elements_in_order:
-            assert g in d.pb3_quotient
+            assert g in P
         for g in d.b3_quotient.generators:
             assert d.c_image * g == g * d.c_image
         assert d.index_f2 % d.f2_commutator.order == 0
@@ -334,6 +337,25 @@ def test_b3_quotient_is_enumerated_once(monkeypatch, pb3, catalog4):
     N.data
     assert nfi_contains(N, pb3) and not nfi_equal(N, pb3)
     assert calls.count(images) == 1
+
+
+def test_catalog_and_quotient_data_build_no_pb3_closure(monkeypatch):
+    # the search enumerates only B3/N; .data adds F2/N_F2 and its commutator
+    # closure, and |PB3/N| is read off |B3/N|
+    tags = []
+    original = perms.generate_group
+
+    def counting(gens, *args, **kwargs):
+        tags.append(kwargs.get("tag", args[0] if args else "GEN"))
+        return original(gens, *args, **kwargs)
+
+    monkeypatch.setattr(perms, "generate_group", counting)
+    monkeypatch.setattr(subgroups, "generate_group", counting)
+    entries = catalog_search(5)
+    assert "F2" not in tags and "PB3" not in tags
+    tags.clear()
+    entries[-1].data
+    assert tags.count("F2") == 2 and "PB3" not in tags
 
 
 def test_b3_quotient_order_against_saturation_oracle(catalog4):
