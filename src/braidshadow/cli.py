@@ -38,6 +38,7 @@ from .groupoid import (
     diamond,
     genuine_to_depth,
     main_line_limit,
+    reduce_shadow,
     survives,
 )
 from .perms import DEFAULT_GROUP_SIZE_CAP, Permutation
@@ -53,7 +54,6 @@ from .subgroups import (
     NfiSubgroup,
     catalog_search,
     new_nfi,
-    nfi_equal,
 )
 from .words import TAG_F2, word_from_text, word_to_text
 
@@ -116,7 +116,7 @@ def save_doc(path: str, doc) -> None:
 
 def shadow_doc(s: GtShadow) -> dict:
     source = shadow_source(s)
-    label = s.target.label if nfi_equal(source, s.target) else source.label
+    label = s.target.label if source is s.target else source.label
     return {
         "m": s.m,
         "f": word_to_text(s.f_word),
@@ -323,8 +323,6 @@ def _cmd_diamond(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    from .groupoid import reduce_shadow
-
     N = _load(args)
     H = load_subgroup(args.coarser, max_group_size=args.max_group_size)
     s = _shadow_from_args(args, N)

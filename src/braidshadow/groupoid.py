@@ -123,10 +123,14 @@ def reduce_shadow(s: GtShadow, H: NfiSubgroup) -> GtShadow:
     """Reinterpret a shadow with target N as one with target H, for N <= H.
 
     The morphism data only shrinks: m mod H_ord and the f-coset in H's
-    smaller quotient.  H_ord divides N_ord whenever N <= H, which is
-    rechecked here.
+    smaller quotient.  One ``hom_into`` of B3/N into B3/H decides N <= H
+    and tabulates the quotient map, which sends sigma_i to sigma_i; f's
+    image in F2/N_F2 is an element of B3/N, so its image under that map is
+    f's image in B3/H, and no word is evaluated.  H_ord divides N_ord
+    whenever N <= H, which is rechecked here.
     """
-    if not nfi_contains(s.target, H):
+    a = s.target.b3_quotient.hom_into(H.b3_quotient)
+    if a is None:
         raise NotContainedError(
             f"cannot reduce: {s.target.label} is not contained in {H.label}"
         )
@@ -135,7 +139,8 @@ def reduce_shadow(s: GtShadow, H: NfiSubgroup) -> GtShadow:
         raise InternalInconsistencyError(
             f"{H.label}_ord does not divide {s.target.label}_ord"
         )
-    return GtShadow(H, s.m % h_ord, s.f_word, H.data.f2_quotient.evaluate(s.f_word))
+    f_elt = H.b3_quotient.elements_in_order[a[s.target.b3_quotient.index_of(s.f_elt)]]
+    return GtShadow(H, s.m % h_ord, s.f_word, f_elt)
 
 
 def survives(

@@ -4,12 +4,14 @@ Desk-scale philosophy: every group that shows up (quotients B3/N and
 F2/N_F2, and the latter's commutator subgroup) is small enough to enumerate
 outright, so there are no stabilizer chains, just one breadth-first closure.
 It records a Schreier tree and the right-multiplication table; a group
-spells words only on demand, and decides on the tables alone whether
-generator images define an automorphism, whether it maps onto another such
-group generator by generator (for two quotients of B3: whether one kernel
-lies in the other), and whether given elements generate it.  The
-paired-image closure of :func:`kernel_contained` is kept as the tests'
-reference for kernel questions.
+spells words only on demand.  Every map out of an enumerated group is
+:meth:`GeneratedGroup.hom_into`: generator images spelled down the tree and
+checked on the table, integers only.  It decides whether generator images
+define an automorphism, whether a group maps onto another generator by
+generator (for two quotients of B3: whether one kernel lies in the other),
+and tabulates such maps.  Whether given elements generate a group is a BFS
+on the same table.  The paired-image closure of :func:`kernel_contained`
+is kept as the tests' reference for kernel questions.
 
 Composition convention (used everywhere, including word evaluation): the
 product ``p * q`` means "apply p first, then q".
@@ -130,8 +132,10 @@ class GeneratedGroup:
     alphabet so that they are literal commutator-subgroup words).
 
     ``right[g][i]`` is the index of ``elements_in_order[i] * generators[g]``:
-    the group's right-multiplication table, which :meth:`is_automorphism`
-    and :meth:`maps_onto` work on with integers only.
+    the group's right-multiplication table.  :meth:`_walk` is the one index
+    pass down the tree, and :meth:`hom_into`, built on it, the one map
+    primitive: :meth:`is_automorphism`, :meth:`maps_onto` and every map the
+    other modules read off a quotient go through it.
     """
 
     def __init__(
@@ -194,26 +198,27 @@ class GeneratedGroup:
     def evaluate(self, w: FreeWord) -> Permutation:
         return evaluate_word(w, self.word_basis)
 
-    def _left_table(self, h: int) -> list[int]:
-        """Left multiplication by element h, on indices: h x for each x."""
-        right, parent, via = self.right, self._parent, self._via
-        out = [h]
+    def _walk(self, tables: Sequence[Sequence[int]], start: int = 0) -> list[int]:
+        """Indices spelled down the Schreier tree: a[0] = start and
+        a[j] = tables[via[j]][a[parent[j]]].  Element j is its parent times
+        generator ``via[j]``, so with ``self.right`` as the tables this is
+        left multiplication by element ``start``."""
+        parent, via = self._parent, self._via
+        a = [start]
         for j in range(1, self.order):
-            out.append(right[via[j]][out[parent[j]]])
-        return out
+            a.append(tables[via[j]][a[parent[j]]])
+        return a
 
     def _inverse_table(self) -> list[int]:
         """The index of each element's inverse; built once, in BFS order.
 
         Element j is its parent times generator ``via[j]``, so its inverse
-        is that generator's inverse times the parent's inverse.
+        is that generator's inverse times the parent's inverse: a walk over
+        the left tables of the generator inverses.
         """
         if self._inverse is None:
-            left = [self._left_table(self._index[g.inverse()]) for g in self.generators]
-            inv = [0]
-            for j in range(1, self.order):
-                inv.append(left[self._via[j]][inv[self._parent[j]]])
-            self._inverse = inv
+            left = [self._walk(self.right, self._index[g.inverse()]) for g in self.generators]
+            self._inverse = self._walk(left)
         return self._inverse
 
     def _right_table(self, p: Permutation) -> list[int]:
@@ -223,33 +228,34 @@ class GeneratedGroup:
         table, so no product is formed.
         """
         inv = self._inverse_table()
-        left = self._left_table(inv[self._index[p]])
+        left = self._walk(self.right, inv[self._index[p]])
         return [inv[left[k]] for k in inv]
 
-    def tree_images(self, images: Sequence[Permutation]) -> list[Permutation]:
-        """Each element's tree word evaluated over ``images``, in BFS order.
+    def hom_into(
+        self, other: "GeneratedGroup", images: Sequence[Permutation] | None = None
+    ) -> list[int] | None:
+        """The homomorphism generator i -> images[i] into ``other``, or None.
 
-        images[g] stands for seed g.  Element j is element ``parent[j]``
-        times seed ``via[j]``, so its image is the parent's image times
-        images[via[j]]: one product per element, no word is spelled.  When
-        seed g -> images[g] extends to a homomorphism, this tabulates it.
+        The result lists, for each element in BFS order, the index of its
+        image in ``other``.  Without ``images``, generator i goes to
+        ``other.generators[i]`` and right multiplication is read straight
+        from ``other.right``; otherwise from ``other``'s right tables of the
+        images.  The map is spelled with :meth:`_walk` and checked on every
+        edge of ``self.right``; None if an edge disagrees (no homomorphism
+        extends the images) or an image lies outside ``other``.  Integer
+        work only; degrees may differ.
         """
-        parent, via = self._parent, self._via
-        out = [Permutation.identity(images[0].degree)]
-        for j in range(1, self.order):
-            out.append(out[parent[j]] * images[via[j]])
-        return out
-
-    def _spelled_map(self, tables: Sequence[list[int]]) -> list[int] | None:
-        """The homomorphism a with a(x gen_g) = tables[g][a(x)] on indices, or None.
-
-        a is spelled along the Schreier tree, a[j] = tables[via[j]][a[parent[j]]],
-        then checked on every edge of ``right``; None if an edge disagrees.
-        """
-        parent, via = self._parent, self._via
-        a = [0]
-        for j in range(1, self.order):
-            a.append(tables[via[j]][a[parent[j]]])
+        n = len(self.generators)
+        count = len(other.generators) if images is None else len(images)
+        if count != n:
+            raise ValueError(f"need {n} generator images, got {count}")
+        if images is None:
+            tables = other.right
+        elif any(p not in other for p in images):
+            return None
+        else:
+            tables = [other._right_table(p) for p in images]
+        a = self._walk(tables)
         for table, t in zip(self.right, tables):
             if any(a[j] != t[a[i]] for i, j in enumerate(table)):
                 return None
@@ -258,30 +264,19 @@ class GeneratedGroup:
     def is_automorphism(self, images: Sequence[Permutation]) -> bool:
         """Does generator i -> images[i] extend to an injective endomorphism?
 
-        Integer work on the multiplication table only, right multiplication
-        by each image read from :meth:`_right_table`; injective iff the
-        spelled map takes ``order`` distinct values.  An image outside the
-        group gives False.
+        :meth:`hom_into` the group itself, injective iff the map takes
+        ``order`` distinct values.  An image outside the group gives False.
         """
-        if len(images) != len(self.generators):
-            raise ValueError(
-                f"need {len(self.generators)} generator images, got {len(images)}"
-            )
-        if any(p not in self._index for p in images):
-            return False
-        a = self._spelled_map([self._right_table(p) for p in images])
+        a = self.hom_into(self, images)
         return a is not None and len(set(a)) == self.order
 
     def maps_onto(self, other: "GeneratedGroup") -> bool:
         """Does generator i -> other.generators[i] extend to a homomorphism?
 
         Such a map is onto.  For two quotients B3/N and B3/H by the same
-        generators, it exists exactly when N <= H.  Integer work on the two
-        multiplication tables; degrees may differ.
+        generators, it exists exactly when N <= H.
         """
-        if len(other.generators) != len(self.generators):
-            raise ValueError(f"need {len(self.generators)} generators")
-        return self._spelled_map(other.right) is not None
+        return self.hom_into(other) is not None
 
 
 def evaluate_word(w: FreeWord, images: Sequence[Permutation]) -> Permutation:
@@ -387,11 +382,10 @@ def commutator_subgroup(
 
 @dataclass(frozen=True)
 class GenHom:
-    """A homomorphism from B3, F2 or PB3 given by generator images.
+    """A homomorphism from B3 or F2 given by generator images.
 
     domain_tag "B3": images of (sigma_1, sigma_2), which must satisfy the
-    braid relation.  "F2": images of (x, y), no relation.  "PB3": images of
-    (x12, x23, c), where c's image must be central among them.
+    braid relation.  "F2": images of (x, y), no relation.
     """
 
     domain_tag: str
@@ -413,12 +407,6 @@ class GenHom:
         elif self.domain_tag == "F2":
             if len(self.images) != 2:
                 raise ValueError("F2 homomorphism needs images of x, y")
-        elif self.domain_tag == "PB3":
-            if len(self.images) != 3:
-                raise ValueError("PB3 homomorphism needs images of x12, x23, c")
-            xg, yg, cg = self.images
-            if cg * xg != xg * cg or cg * yg != yg * cg:
-                raise ValueError("image of c must commute with the other images")
         else:
             raise ValueError(f"unknown domain tag {self.domain_tag!r}")
 

@@ -317,10 +317,10 @@ def invert_shadow(s: GtShadow) -> GtShadow:
 
     m inverts through the odd-part formula (2m+1)(2m~+1) = 1 mod 2 N_ord,
     i.e. m~ = -(2m+1)^-1 m.  f~ comes from the bijection F2/K_F2 ->
-    F2/N_F2 induced by E_{m,f}: it is tabulated along the source quotient's
-    Schreier tree, one product per element (x -> x^(2m+1), y -> F^-1
-    y^(2m+1) F on the images), and f~ is the preimage of the inverse of
-    f's image.  :func:`~braidshadow.words.e_endo` is the word-level
+    F2/N_F2 induced by E_{m,f} (x -> x^(2m+1), y -> F^-1 y^(2m+1) F): the
+    source quotient's ``hom_into`` the target's tabulates it on indices and
+    checks that it is a homomorphism, and f~ is the preimage of the inverse
+    of f's image.  :func:`~braidshadow.words.e_endo` is the word-level
     reference for the same map.
     """
     d = s.target.data
@@ -334,16 +334,14 @@ def invert_shadow(s: GtShadow) -> GtShadow:
     m_inv = (-k_inv * s.m) % d.n_ord
     source = shadow_source(s)
     sd = source.data
-    big_f = s.f_elt
-    images = sd.f2_quotient.tree_images(
-        (d.x_image**k, big_f.inverse() * d.y_image**k * big_f)
-    )
-    table = {image: j for j, image in enumerate(images)}
-    if len(table) != d.f2_quotient.order or sd.f2_quotient.order != d.f2_quotient.order:
+    quotient = d.f2_quotient
+    f_inv = s.f_elt.inverse()
+    a = sd.f2_quotient.hom_into(quotient, (d.x_image**k, f_inv * d.y_image**k * s.f_elt))
+    if a is None or len(a) != quotient.order or len(set(a)) != quotient.order:
         raise InternalInconsistencyError(
             f"induced map on F2 cosets is not a bijection for {s!r}"
         )
-    f_elt = sd.f2_quotient.elements_in_order[table[big_f.inverse()]]
+    f_elt = sd.f2_quotient.elements_in_order[a.index(quotient.index_of(f_inv))]
     try:
         f_word = sd.f2_commutator.word_of(f_elt)
     except KeyError:

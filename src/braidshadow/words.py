@@ -32,8 +32,6 @@ from .errors import NotCommutatorWordError
 
 TAG_B3 = "B3"
 TAG_F2 = "F2"
-TAG_F3 = "F3"
-TAG_PB3 = "PB3"
 
 Letter = tuple[int, int]  # (generator index, sign +1/-1)
 

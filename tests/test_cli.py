@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from datetime import timedelta
@@ -472,3 +473,49 @@ def test_fuzzed_command_lines_end_in_an_exit_code(files, tmp_path, capsys, argv)
     code = run_command([*argv, "--cache-dir", str(tmp_path / "c")])
     assert code in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# frozen output bytes
+
+def _command_lines(labels, isolated):
+    """The fixed sweep: per-input commands, every ordered pair, catalog, mainline."""
+    lines = []
+    for a in labels:
+        lines += [["info", a], ["shadows", a], ["component", a], ["diamond", a],
+                  ["genuine", a, "-m", "0", "--max-degree", "4"]]
+    for a in labels:
+        for b in labels:
+            lines += [["reduce", a, b, "-m", "0"], ["survive", a, b, "-m", "0"]]
+    return lines + [["catalog", "--max-degree", "4"], ["mainline", *isolated]]
+
+
+# sha256 over the sweep's exit codes, printed lines and --json documents;
+# a change of any byte of them changes it
+_SWEEP_DIGEST = "7669ec5694aa96849a1eb8ae4b2f57bec7bb7306af538874a30b4b0f0527ef31"
+
+
+def test_command_sweep_bytes_are_frozen(files, tmp_path, cat09, cat10, capsys):
+    paths = dict(files)
+    for N in (cat09, cat10):
+        paths[N.label] = str(tmp_path / f"{N.label}.json")
+        save_doc(paths[N.label], subgroup_doc(N))
+    labels = ["pb3", "cat00", "cat01", "cat02", "cat03", "cat04", "cat09", "cat10"]
+    out = tmp_path / "out.json"
+    cache = ["--cache-dir", str(tmp_path / "c")]
+    digest = hashlib.sha256()
+    for line in _command_lines(labels, labels[:6]):
+        argv = [paths.get(a, a) for a in line]
+        human = run_command(argv + cache)
+        stdout, stderr = capsys.readouterr()
+        out.unlink(missing_ok=True)
+        machine = run_command(argv + cache + ["--json", str(out)])
+        capsys.readouterr()
+        doc = out.read_text(encoding="utf-8") if out.exists() else ""
+        record = [line, human, machine, stdout, stderr, doc]
+        text = json.dumps(record)
+        for label in labels:
+            text = text.replace(paths[label], label)
+        text = text.replace(str(tmp_path), "TMP")
+        digest.update(text.encode())
+    assert digest.hexdigest() == _SWEEP_DIGEST

@@ -139,6 +139,20 @@ def test_reduction_preserves_m_mod_coarser_order(catalog4):
         assert r.m == s.m % coarse.data.n_ord
 
 
+def test_reduction_matches_the_word_evaluation(pb3, catalog4, cat09, cat10):
+    # the element read off B3/N -> B3/H is f's word evaluated in H
+    objects = [pb3, *catalog4, cat09, cat10, diamond(cat09)]
+    for N in objects:
+        for s in enumerate_shadows(N):
+            for H in objects:
+                if not nfi_contains(N, H):
+                    continue
+                r = reduce_shadow(s, H)
+                assert r.f_elt == H.data.f2_quotient.evaluate(s.f_word), (s, H.label)
+                assert r.f_word is s.f_word
+                assert r.m == s.m % H.data.n_ord
+
+
 def test_reduction_functorial_along_a_chain(pb3, catalog4):
     fine, mid = catalog4[4], catalog4[2]
     for s in enumerate_shadows(fine):

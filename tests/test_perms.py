@@ -205,8 +205,7 @@ def test_genhom_validation():
     with pytest.raises(ValueError):
         GenHom(TAG_F2, (T01,))
     with pytest.raises(ValueError):
-        GenHom("PB3", (T01, T12, T01))  # T01 not central
-    GenHom("PB3", (T01, T01, Permutation.identity(3)))
+        GenHom("PB3", (T01, T01, Permutation.identity(3)))  # no longer a domain
     with pytest.raises(DegreeMismatchError):
         GenHom(TAG_F2, (SWAP, T01))
     with pytest.raises(ValueError):
@@ -303,13 +302,53 @@ def test_is_generating_set_against_closure_order(picks):
     assert is_generating_set(_S5, elems) is expected
 
 
-@hypothesis.given(strat.lists(perms6, min_size=1, max_size=3), strat.data())
+@hypothesis.given(
+    strat.lists(perms6, min_size=2, max_size=2),
+    strat.lists(perms5, min_size=2, max_size=2),
+    strat.lists(strat.integers(min_value=0), min_size=2, max_size=2),
+    strat.booleans(),
+    perms5,
+)
 @hypothesis.settings(max_examples=40, deadline=None)
-def test_tree_images_evaluate_the_tree_words(gens, data):
+def test_hom_into_evaluates_the_tree_words(gens, h_gens, picks, by_sign, stray):
+    G, H = generate_group(gens), generate_group(h_gens)
+    images = [H.elements_in_order[k % H.order] for k in picks]
+    if by_sign:
+        # the sign map always extends, so the walk is checked on a real map
+        swap = Permutation((1, 0, 2, 3, 4))
+        H = generate_group([swap])
+        images = [swap if (6 - len(g.cycle_lengths())) % 2 else H.identity for g in gens]
+    a = G.hom_into(H, images)
+    if kernel_contained(GenHom(TAG_F2, G.generators), GenHom(TAG_F2, images)):
+        expected = [
+            H.index_of(evaluate_word(G.word_of(g), images)) for g in G.elements_in_order
+        ]
+        assert a == expected
+    else:
+        assert not by_sign
+        assert a is None
+    if stray not in H:
+        assert G.hom_into(H, [stray, images[1]]) is None
+
+
+@pytest.mark.parametrize("gens", [
+    [T01, T12],
+    [C3],
+    [Permutation((1, 0, 2, 3, 4)), Permutation((1, 2, 3, 4, 0))],
+    [Permutation((1, 0, 2, 3)), Permutation((0, 1, 3, 2)), Permutation((2, 3, 0, 1))],
+    [
+        Permutation((1, 2, 0, 3, 4, 5)),
+        Permutation((0, 1, 2, 4, 5, 3)),
+        Permutation((3, 4, 5, 0, 1, 2)),
+    ],
+], ids=["S3", "C3", "S5", "C2-wreath-C2", "C3-wreath-C2"])
+def test_right_and_inverse_tables(gens):
     G = generate_group(gens)
-    images = [data.draw(perms5) for _ in gens]
-    expected = [evaluate_word(G.word_of(p), images) for p in G.elements_in_order]
-    assert G.tree_images(images) == expected
+    elements = G.elements_in_order
+    inverse = G._inverse_table()
+    assert inverse == [G.index_of(x.inverse()) for x in elements]
+    for p in elements:
+        assert G._right_table(p) == [G.index_of(x * p) for x in elements]
 
 
 @hypothesis.given(strat.lists(perms6, min_size=1, max_size=3))

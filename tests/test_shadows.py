@@ -208,9 +208,10 @@ def test_tree_spelled_inversion_matches_the_e_endo_table(pb3, catalog4, cat09, c
         for s in enumerate_shadows(N):
             q = shadow_source(s).data.f2_quotient
             k = 2 * s.m + 1
-            images = q.tree_images(
-                (d.x_image**k, s.f_elt.inverse() * d.y_image**k * s.f_elt)
+            a = q.hom_into(
+                d.f2_quotient, (d.x_image**k, s.f_elt.inverse() * d.y_image**k * s.f_elt)
             )
+            images = [d.f2_quotient.elements_in_order[j] for j in a]
             reference = [
                 d.f2_quotient.evaluate(e_endo(s.m, s.f_word, q.word_of(elt)))
                 for elt in q.elements_in_order
