@@ -22,7 +22,6 @@ from .words import (
     e_endo,
     embed_f2_in_b3,
     f2_endo_apply,
-    reduce_word,
     tau,
     theta,
     word_from_text,
@@ -36,8 +35,6 @@ from .perms import (
     generate_group,
     is_generating_set,
     kernel_contained,
-    perm_compose,
-    perm_order,
 )
 from .subgroups import (
     NfiSubgroup,

@@ -5,6 +5,9 @@ component), reduction maps between comparable targets, survival, the
 finite-depth fake-shadow search, and limits of reduction diagrams over a
 finite poset of isolated objects.
 
+Reduction is one walk of B3/N into B3/H per pair of objects (which also
+decides N <= H), applied to each shadow's f image.
+
 Every ``threads`` parameter is accepted for compatibility and ignored:
 enumeration is serial.  Every ``max_candidates`` is passed to each
 :func:`enumerate_shadows` call a function makes.
@@ -119,28 +122,34 @@ def diamond(
     return result
 
 
+def _reduction(N: NfiSubgroup, H: NfiSubgroup) -> list[int] | None:
+    """B3/N -> B3/H, sigma_i -> sigma_i, on indices: one ``hom_into``, None
+    unless N <= H.  H_ord divides N_ord whenever N <= H; that is rechecked."""
+    a = N.b3_quotient.hom_into(H.b3_quotient)
+    if a is not None and N.data.n_ord % H.data.n_ord != 0:
+        raise InternalInconsistencyError(f"{H.label}_ord does not divide {N.label}_ord")
+    return a
+
+
+def _reduce(s: GtShadow, H: NfiSubgroup, a: list[int]) -> GtShadow:
+    """s reduced along ``a = _reduction(s.target, H)``.  f's image lies in
+    B3/N, so its image under ``a`` is f's image in B3/H; no word is read."""
+    f_elt = H.b3_quotient.elements_in_order[a[s.target.b3_quotient.index_of(s.f_elt)]]
+    return GtShadow(H, s.m % H.data.n_ord, s.f_word, f_elt)
+
+
 def reduce_shadow(s: GtShadow, H: NfiSubgroup) -> GtShadow:
     """Reinterpret a shadow with target N as one with target H, for N <= H.
 
     The morphism data only shrinks: m mod H_ord and the f-coset in H's
-    smaller quotient.  One ``hom_into`` of B3/N into B3/H decides N <= H
-    and tabulates the quotient map, which sends sigma_i to sigma_i; f's
-    image in F2/N_F2 is an element of B3/N, so its image under that map is
-    f's image in B3/H, and no word is evaluated.  H_ord divides N_ord
-    whenever N <= H, which is rechecked here.
+    smaller quotient; the word is kept.
     """
-    a = s.target.b3_quotient.hom_into(H.b3_quotient)
+    a = _reduction(s.target, H)
     if a is None:
         raise NotContainedError(
             f"cannot reduce: {s.target.label} is not contained in {H.label}"
         )
-    h_ord = H.data.n_ord
-    if s.target.data.n_ord % h_ord != 0:
-        raise InternalInconsistencyError(
-            f"{H.label}_ord does not divide {s.target.label}_ord"
-        )
-    f_elt = H.b3_quotient.elements_in_order[a[s.target.b3_quotient.index_of(s.f_elt)]]
-    return GtShadow(H, s.m % h_ord, s.f_word, f_elt)
+    return _reduce(s, H, a)
 
 
 def survives(
@@ -151,16 +160,15 @@ def survives(
 ) -> bool:
     """Does s (target H) lie in the image of GT(N) under reduction to H?
 
-    Brute force: reduce every shadow of N and look for s.
+    Brute force: reduce every shadow of N along one walk and look for s.
     """
-    if not nfi_contains(N, s.target):
+    a = _reduction(N, s.target)
+    if a is None:
         raise NotContainedError(
             f"{N.label} is not contained in {s.target.label}; "
             "survival is only defined downward"
         )
-    return any(
-        reduce_shadow(t, s.target) == s for t in enumerate_shadows(N, max_candidates)
-    )
+    return any(_reduce(t, s.target, a) == s for t in enumerate_shadows(N, max_candidates))
 
 
 @dataclass
@@ -187,18 +195,18 @@ def genuine_to_depth(
 ) -> Verdict:
     """Search the catalog for a certificate that s is fake.
 
-    Only entries below s.target are applicable.  A genuine shadow survives
-    into every finer subgroup, so failing to survive into one proves
-    fakeness; surviving everywhere proves nothing beyond the listed depth,
-    and the verdict says so.
+    Only entries below s.target are applicable; one walk per entry decides
+    that and reduces all its shadows.  A genuine shadow survives into every
+    finer subgroup, so failing to survive into one proves fakeness;
+    surviving everywhere proves nothing beyond the listed depth, and the
+    verdict says so.
     """
     checked: list[NfiSubgroup] = []
     for entry in catalog:
-        if not nfi_contains(entry, s.target):
+        a = _reduction(entry, s.target)
+        if a is None:
             continue
-        image = [
-            reduce_shadow(t, s.target) for t in enumerate_shadows(entry, max_candidates)
-        ]
+        image = [_reduce(t, s.target, a) for t in enumerate_shadows(entry, max_candidates)]
         if s not in image:
             return Verdict(
                 kind="fake", checked=checked + [entry], witness=entry,
@@ -230,7 +238,8 @@ def main_line_limit(
     """Build the reduction diagram on the catalog and compute its limit.
 
     The limit is the set of tuples (one shadow per object) compatible with
-    every edge table; under componentwise composition it is a group.  Found
+    every edge table (one walk each); under componentwise composition it is
+    a group.  Found
     by depth-first assignment with edge pruning, objects in a fixed
     deterministic order.
     """
@@ -248,9 +257,9 @@ def main_line_limit(
     edges: dict[tuple[int, int], dict[GtShadow, GtShadow]] = {}
     for i, finer in enumerate(objects):
         for j, coarser in enumerate(objects):
-            if i == j or not nfi_contains(finer, coarser):
-                continue
-            edges[(i, j)] = {s: reduce_shadow(s, coarser) for s in groups[i]}
+            a = None if i == j else _reduction(finer, coarser)
+            if a is not None:
+                edges[(i, j)] = {s: _reduce(s, coarser, a) for s in groups[i]}
     diagram = MainLineDiagram(poset_objects=objects, groups=groups, edges=edges)
 
     limit: list[tuple[GtShadow, ...]] = []

@@ -101,15 +101,6 @@ class Permutation:
         return math.lcm(*self.cycle_lengths())
 
 
-def perm_compose(p: Permutation, q: Permutation) -> Permutation:
-    """Product under the fixed convention: apply p first, then q."""
-    return p * q
-
-
-def perm_order(p: Permutation) -> int:
-    return p.order()
-
-
 def block_sum(*perms: Permutation) -> Permutation:
     """Act on the disjoint union of the domains, block by block."""
     images: list[int] = []
@@ -174,12 +165,6 @@ class GeneratedGroup:
     @property
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
-
-    @property
-    def words(self) -> dict[Permutation, FreeWord]:
-        """The whole word table; spells every word, so keep it off hot paths."""
-        self.word_of(self.elements_in_order[-1])
-        return dict(zip(self.elements_in_order, self._words))
 
     def __contains__(self, p: Permutation) -> bool:
         return p in self._index

@@ -8,7 +8,9 @@ relations hold mod N and the induced endomorphism
 
 maps B3 onto B3/N.  The kernel of T is the shadow's source; composition and
 inversion below make the collection of all shadows a groupoid over the poset
-of targets.
+of targets.  Both apply one map to elements: E_{m,f} on F2 cosets,
+tabulated by ``hom_into`` (:func:`_e_table`).  No word is substituted; a
+result's word is the one its quotient's ``f2_commutator`` spells.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .errors import (
     SourceTargetMismatchError,
 )
 from .perms import GenHom, Permutation, is_generating_set
-from .subgroups import NfiSubgroup, new_nfi, nfi_equal
+from .subgroups import NfiSubgroup, QuotientData, new_nfi, nfi_equal
 from .words import (
     C_WORD,
     SIGMA1,
@@ -31,7 +33,6 @@ from .words import (
     TAG_F2,
     Y,
     FreeWord,
-    bullet_monoid,
     embed_f2_in_b3,
     empty_word,
     require_commutator_form,
@@ -46,9 +47,9 @@ DEFAULT_CANDIDATE_CAP = 2_000_000
 class GtShadow:
     """One morphism of the groupoid: source(s) -> target.
 
-    f is carried in two forms: a literal commutator word over x, y (needed
-    whenever f gets substituted into an endomorphism) and its image in
-    F2/N_F2.  Two shadows are the same morphism iff their targets, m
+    f is carried in two forms: a literal commutator word over x, y (what
+    is printed, and what the word-level references substitute) and its
+    image in F2/N_F2.  Two shadows are the same morphism iff their targets, m
     residues and f images agree; the word is just a representative.
     """
 
@@ -296,32 +297,57 @@ def enumerate_shadows(
     return list(N._shadows)
 
 
+def _e_table(s: GtShadow, source: NfiSubgroup) -> list[int]:
+    """E_{m,f}: x -> x^(2m+1), y -> F^-1 y^(2m+1) F (F: f's image), as a
+    bijection from ``source``'s F2/K_F2 onto F2/N_F2, on indices; ``source``
+    is any realization of K = source(s).  Tabulated and checked by
+    ``hom_into``; :func:`~braidshadow.words.e_endo` is the word reference.
+    """
+    d = s.target.data
+    k = 2 * s.m + 1
+    quotient = d.f2_quotient
+    ey = s.f_elt.inverse() * d.y_image**k * s.f_elt
+    a = source.data.f2_quotient.hom_into(quotient, (d.x_image**k, ey))
+    if a is None or len(a) != quotient.order or len(set(a)) != quotient.order:
+        raise InternalInconsistencyError(
+            f"induced map on F2 cosets is not a bijection for {s!r}"
+        )
+    return a
+
+
+def _commutator_word(d: QuotientData, f_elt: Permutation, s: GtShadow) -> FreeWord:
+    if f_elt not in d.f2_commutator:
+        raise InternalInconsistencyError(f"f escaped the commutator subgroup for {s!r}")
+    return d.f2_commutator.word_of(f_elt)
+
+
 def compose_shadows(s1: GtShadow, s2: GtShadow) -> GtShadow:
     """Groupoid composition: s2 followed by s1, defined when
     source(s1) = target(s2) as kernels.
 
-    The underlying monoid law is (m1,f1)(m2,f2) =
-    (2 m1 m2 + m1 + m2, f1 E_{m1,f1}(f2)), reduced mod the target data.
+    The monoid law (m1,f1)(m2,f2) = (2 m1 m2 + m1 + m2, f1 E_{m1,f1}(f2)),
+    mod the target data, on elements: F = F1 E(F2), E the :func:`_e_table`
+    out of s2's target.  The word is ``f2_commutator``'s, so it never
+    grows; :func:`~braidshadow.words.bullet_monoid` is the word reference.
     """
     if not nfi_equal(shadow_source(s1), s2.target):
         raise SourceTargetMismatchError(
             f"cannot compose: source of {s1!r} differs from target of {s2!r}"
         )
     d = s1.target.data
-    m, f_word = bullet_monoid(s1.m, s1.f_word, s2.m, s2.f_word)
-    return GtShadow(s1.target, m % d.n_ord, f_word, d.f2_quotient.evaluate(f_word))
+    a = _e_table(s1, s2.target)
+    image = d.f2_quotient.elements_in_order[a[s2.target.data.f2_quotient.index_of(s2.f_elt)]]
+    f_elt = s1.f_elt * image
+    m = (2 * s1.m * s2.m + s1.m + s2.m) % d.n_ord
+    return GtShadow(s1.target, m, _commutator_word(d, f_elt, s1), f_elt)
 
 
 def invert_shadow(s: GtShadow) -> GtShadow:
     """The inverse morphism: target and source swap.
 
     m inverts through the odd-part formula (2m+1)(2m~+1) = 1 mod 2 N_ord,
-    i.e. m~ = -(2m+1)^-1 m.  f~ comes from the bijection F2/K_F2 ->
-    F2/N_F2 induced by E_{m,f} (x -> x^(2m+1), y -> F^-1 y^(2m+1) F): the
-    source quotient's ``hom_into`` the target's tabulates it on indices and
-    checks that it is a homomorphism, and f~ is the preimage of the inverse
-    of f's image.  :func:`~braidshadow.words.e_endo` is the word-level
-    reference for the same map.
+    i.e. m~ = -(2m+1)^-1 m.  f~'s image is the preimage of F^-1 under
+    :func:`_e_table`, and its word the source's ``f2_commutator``'s.
     """
     d = s.target.data
     k = 2 * s.m + 1
@@ -334,18 +360,6 @@ def invert_shadow(s: GtShadow) -> GtShadow:
     m_inv = (-k_inv * s.m) % d.n_ord
     source = shadow_source(s)
     sd = source.data
-    quotient = d.f2_quotient
-    f_inv = s.f_elt.inverse()
-    a = sd.f2_quotient.hom_into(quotient, (d.x_image**k, f_inv * d.y_image**k * s.f_elt))
-    if a is None or len(a) != quotient.order or len(set(a)) != quotient.order:
-        raise InternalInconsistencyError(
-            f"induced map on F2 cosets is not a bijection for {s!r}"
-        )
-    f_elt = sd.f2_quotient.elements_in_order[a.index(quotient.index_of(f_inv))]
-    try:
-        f_word = sd.f2_commutator.word_of(f_elt)
-    except KeyError:
-        raise InternalInconsistencyError(
-            f"inverse f-coset escaped the commutator subgroup for {s!r}"
-        ) from None
-    return GtShadow(source, m_inv, f_word, f_elt, source=s.target)
+    a = _e_table(s, source)
+    f_elt = sd.f2_quotient.elements_in_order[a.index(d.f2_quotient.index_of(s.f_elt.inverse()))]
+    return GtShadow(source, m_inv, _commutator_word(sd, f_elt, s), f_elt, source=s.target)

@@ -52,8 +52,7 @@ def _reduced(letters) -> tuple[Letter, ...]:
 class FreeWord:
     """A freely reduced word over a tagged alphabet.
 
-    The constructor reduces, so every FreeWord in existence is reduced and
-    ``reduce_word`` is idempotent by construction.
+    The constructor reduces, so every FreeWord in existence is reduced.
     """
 
     tag: str
@@ -103,11 +102,6 @@ Y = letter(TAG_F2, 1)
 Z = Y.inv() * X.inv()
 DELTA = SIGMA1 * SIGMA2 * SIGMA1
 C_WORD = DELTA * DELTA
-
-
-def reduce_word(w: FreeWord) -> FreeWord:
-    """Freely reduce ``w``.  A no-op on already constructed words."""
-    return FreeWord(w.tag, w.letters)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from braidshadow import words
 from braidshadow.errors import NotContainedError
 from braidshadow.groupoid import (
     connected_component,
@@ -12,6 +13,7 @@ from braidshadow.groupoid import (
     reduce_shadow,
     survives,
 )
+from braidshadow.perms import GeneratedGroup
 from braidshadow.shadows import (
     GtShadow,
     compose_shadows,
@@ -21,7 +23,7 @@ from braidshadow.shadows import (
     shadow_source,
 )
 from braidshadow.subgroups import nfi_contains, nfi_equal
-from braidshadow.words import TAG_F2, empty_word
+from braidshadow.words import TAG_F2, X, Y, bullet_monoid, empty_word
 
 EMPTY = empty_word(TAG_F2)
 
@@ -221,6 +223,51 @@ def test_fake_certificate_is_independently_checkable(catalog4):
     ]
     assert replay == verdict.reduce_image
     assert bogus not in replay
+
+
+def test_survival_and_genuineness_walk_once_per_pair(monkeypatch, pb3, catalog4, cat09, cat10):
+    # the B3/N -> B3/H walk is both the containment test and the reduction
+    # map: one hom_into per pair, never one per reduced shadow
+    catalog = [pb3, *catalog4, cat09, cat10]
+    for N in catalog:
+        enumerate_shadows(N)
+    below = [[N for N in catalog if nfi_contains(N, H)] for H in catalog]
+    calls = []
+    original = GeneratedGroup.hom_into
+
+    def counting(self, other, images=None):
+        calls.append((self, other))
+        return original(self, other, images)
+
+    monkeypatch.setattr(GeneratedGroup, "hom_into", counting)
+    for H, finer in zip(catalog, below):
+        for s in enumerate_shadows(H):
+            for N in finer:
+                calls.clear()
+                assert survives(s, N)
+                assert calls == [(N.b3_quotient, H.b3_quotient)]
+            calls.clear()
+            verdict = genuine_to_depth(s, catalog)
+            assert verdict.kind == "not_fake_to_depth"
+            assert verdict.checked == finer
+            assert calls == [(N.b3_quotient, H.b3_quotient) for N in catalog]
+
+
+def test_groupoid_operations_substitute_no_words(monkeypatch, pb3, cat09, cat10):
+    def refuse(*args):
+        raise AssertionError("word substitution reached")
+
+    monkeypatch.setattr(words, "apply_endo", refuse)
+    with pytest.raises(AssertionError):
+        bullet_monoid(1, X * Y * X.inv() * Y.inv(), 1, EMPTY)
+    for N in (cat09, cat10):
+        for s in enumerate_shadows(N):
+            sinv = invert_shadow(s)
+            assert compose_shadows(s, sinv) == identity_shadow(N)
+            assert compose_shadows(sinv, s) == identity_shadow(sinv.target)
+            r = reduce_shadow(s, pb3)
+            assert survives(r, N)
+            assert genuine_to_depth(s, [cat09, cat10]).kind == "not_fake_to_depth"
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -31,6 +32,7 @@ from braidshadow.shadows import (
 )
 from braidshadow.subgroups import (
     NfiSubgroup,
+    catalog_search,
     from_f2_quotient,
     new_nfi,
     nfi_contains,
@@ -46,6 +48,7 @@ from braidshadow.words import (
     TAG_F2,
     X,
     Y,
+    bullet_monoid,
     e_endo,
     embed_f2_in_b3,
     empty_word,
@@ -395,6 +398,40 @@ def test_compose_ignores_choice_of_representative_word(catalog4):
         assert K.evaluate_f2(h).is_identity()
         fat_identity = GtShadow(K, 0, h, K.data.f2_quotient.identity)
         assert compose_shadows(s, fat_identity) == s
+
+
+def test_element_composition_matches_bullet_monoid(pb3, catalog4, cat09, cat10):
+    # every composable pair, cat09/cat10 cross-object ones included: the m
+    # and f image of the word-level monoid law, and a word spelling f's image
+    shadows = [s for N in [pb3, *catalog4, cat09, cat10] for s in enumerate_shadows(N)]
+    cross = 0
+    for s1, s2 in itertools.product(shadows, repeat=2):
+        if not nfi_equal(shadow_source(s1), s2.target):
+            continue
+        got = compose_shadows(s1, s2)
+        q = s1.target.data.f2_quotient
+        m, f_word = bullet_monoid(s1.m, s1.f_word, s2.m, s2.f_word)
+        assert (got.m, got.f_elt) == (m % s1.target.data.n_ord, q.evaluate(f_word))
+        assert q.evaluate(got.f_word) == got.f_elt
+        cross += s1.target is not s2.target
+    assert cross > 0
+
+
+def test_power_chain_keeps_words_short():
+    # substituting words would grow f about 13-fold per composition; the
+    # element law keeps the commutator subgroup's own representative
+    N = catalog_search(5)[6]
+    settled = [s for s in enumerate_shadows(N) if shadow_source(s) is N]
+    s = max(settled, key=lambda t: len(t.f_word))
+    powers = [identity_shadow(N)]
+    for _ in range(200):
+        powers.append(compose_shadows(s, powers[-1]))
+    comm = N.data.f2_commutator
+    for p in powers:
+        assert p.f_word == comm.word_of(p.f_elt)
+    for a in range(0, 201, 5):
+        for b in range(0, 201 - a, 5):
+            assert compose_shadows(powers[a], powers[b]) == powers[a + b]
 
 
 def test_invert_round_trips(catalog4):

@@ -29,7 +29,6 @@ from braidshadow.words import (
     empty_word,
     f2_endo_apply,
     random_word,
-    reduce_word,
     require_commutator_form,
     tau,
     theta,
@@ -70,7 +69,7 @@ def test_reduction_basics():
     assert w**0 == empty_word(TAG_F2)
     assert w**-2 == w.inv() * w.inv()
     assert len(X**5) == 5
-    assert reduce_word(w) == w
+    assert FreeWord(w.tag, w.letters) == w
 
 
 def test_mixed_alphabet_rejected():
