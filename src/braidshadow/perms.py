@@ -155,10 +155,6 @@ class GeneratedGroup:
         self._inverse: list[int] | None = None
 
     @property
-    def elements(self) -> set[Permutation]:
-        return set(self._index)
-
-    @property
     def degree(self) -> int:
         return self.generators[0].degree
 

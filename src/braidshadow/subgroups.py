@@ -38,6 +38,8 @@ from .words import (
     letter,
 )
 
+# Six and no more: the search holds all n! permutations of each degree, and
+# the `catalog` command enumerates the shadows of every entry it finds.
 DEFAULT_CATALOG_DEGREE_LIMIT = 6
 
 
@@ -262,31 +264,33 @@ def from_f2_quotient(
 # catalog search
 
 def _braid_pairs(degree: int):
-    """All (p, q) in S_degree^2 with p q p = q p q, in lexicographic order.
+    """The braid pairs (p, q), p q p = q p q, whose p is least of its type.
 
-    p q p = q p q forces q = (pq) p (pq)^-1, so the two sides of a braid
-    pair are conjugate; checking only same-cycle-type pairs cuts the grid
-    roughly sevenfold at degree 6 without losing anything.  The relation is
-    tested on the image tuples (p q p sends i to p[q[p[i]]], p acting
-    first), so the scan builds no product permutations.
+    p q p = q p q forces q = (pq) p (pq)^-1, so q is tried only in p's
+    cycle-type bucket, and p is the bucket's first member: the least
+    permutation of that type, as ``itertools.permutations`` is
+    lexicographic.  Buckets go in the order of their first members.  The
+    relation is tested on the image tuples (p q p sends i to p[q[p[i]]]),
+    so the scan builds no product permutations.
 
-    A transitive pair is the action of B3 on the cosets of an
-    index-``degree`` subgroup (the stabilizer of a point).  Relabelling the
-    points conjugates the action and leaves its kernel alone, so
-    ``catalog_search`` builds one candidate per relabelling class (see
-    :func:`_pair_class`).
+    ``catalog_search`` builds one candidate per relabelling class
+    (:func:`_pair_class`), and restricting p loses no class and moves no
+    class's first pair, against a scan of every same-type pair ordered by
+    p.  Every pair is a relabelling of one whose p is least of its type,
+    and relabelling keeps the key.  A key first appears at the degree that
+    sums its classes' degrees, where each class occurs once, so all of its
+    pairs there share one cycle type, whose least p that scan meets first.
+    And the yielded pairs are a subsequence of that scan's.
     """
-    perms = [Permutation(t) for t in itertools.permutations(range(degree))]
     by_type: dict[tuple[int, ...], list[Permutation]] = {}
-    types = []
-    for p in perms:
-        t = tuple(sorted(p.cycle_lengths()))
-        by_type.setdefault(t, []).append(p)
-        types.append(t)
+    for t in itertools.permutations(range(degree)):
+        p = Permutation(t)
+        by_type.setdefault(tuple(sorted(p.cycle_lengths())), []).append(p)
     points = range(degree)
-    for p, t in zip(perms, types):
+    for bucket in by_type.values():
+        p = bucket[0]
         a = p.images
-        for q in by_type[t]:
+        for q in bucket:
             b = q.images
             if all(a[b[a[i]]] == b[a[b[i]]] for i in points):
                 yield p, q
@@ -339,14 +343,14 @@ def catalog_search(
     kernel into PB3 by construction.  The scan is serial (``threads`` is
     accepted for compatibility and ignored) and deduplicates as it goes.
 
-    A pair whose :func:`_pair_class` key was already seen is skipped before
-    any candidate is built.  That is exact: relabelling the pair conjugates
-    the homomorphism, and the kernel of an intransitive pair is the
+    Many pairs of :func:`_braid_pairs` still share a :func:`_pair_class`
+    key, and a pair whose key was already seen is skipped before any
+    candidate is built.  That is exact: relabelling the pair conjugates the
+    homomorphism, and the kernel of an intransitive pair is the
     intersection of its orbits' kernels, so it depends only on the set of
-    orbit classes.  A skipped pair therefore has the kernel of an earlier
-    pair, the same first member of each kernel is kept, and equal kernels
-    have isomorphic quotients, so ``max_group_size`` trips on the same
-    inputs as a scan without the skip.
+    orbit classes.  The candidates are the first pair of each class in a
+    scan of every pair, in that order, and a skipped pair's quotient is an
+    earlier candidate's, so ``max_group_size`` trips on the same inputs.
 
     Each remaining candidate is compared with the kept ones by
     :func:`nfi_equal`, whose |B3/N| comparison is the cheap first filter;

@@ -13,8 +13,9 @@ def catalog4():
     return bs.catalog_search(4)
 
 
-# The first non-isolated component: two kernels of catalog_search(7,
-# degree_limit=7), frozen so that no test runs the degree-7 search.
+# The first non-isolated component: entries 9 and 10 of catalog_search(7,
+# degree_limit=7), frozen here so that the tests using them need not run
+# the degree-7 search; test_catalog_degree_seven_is_frozen checks them.
 _CAT09_10_SIGMA1 = (0, 2, 3, 4, 5, 6, 1, 8, 7, 9)
 
 

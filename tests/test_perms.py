@@ -140,7 +140,11 @@ def test_index_lookup():
     for i, g in enumerate(G.elements_in_order):
         assert G.index_of(g) == i
     assert Permutation((1, 2, 0)) in G
-    assert G.elements == set(G.elements_in_order)
+    # membership is exactly the listed elements, each listed once
+    for H in (G, generate_group([C3])):
+        assert len(set(H.elements_in_order)) == H.order
+        for t in itertools.permutations(range(3)):
+            assert (Permutation(t) in H) == (Permutation(t) in H.elements_in_order)
 
 
 # ---------------------------------------------------------------------------

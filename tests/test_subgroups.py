@@ -209,6 +209,15 @@ def test_catalog_thread_count_is_invisible():
     assert [n.label for n in seq] == [n.label for n in par]
 
 
+def _brute_braid_pairs(degree):
+    # every (p, q) in S_degree^2 with p q p = q p q by the product test, in
+    # lexicographic order; independent of _braid_pairs
+    sym = [Permutation(t) for t in itertools.permutations(range(degree))]
+    return [
+        (p, q) for p, q in itertools.product(sym, repeat=2) if p * q * p == q * p * q
+    ]
+
+
 def test_catalog_three_is_complete():
     # independent scan: every braid pair on <= 3 strands, no cycle-type
     # shortcut, must land on a catalog kernel
@@ -217,10 +226,7 @@ def test_catalog_three_is_complete():
     r1, r2 = rho().images
     found = 0
     for degree in (1, 2, 3):
-        perms = [Permutation(t) for t in itertools.permutations(range(degree))]
-        for p, q in itertools.product(perms, repeat=2):
-            if p * q * p != q * p * q:
-                continue
+        for p, q in _brute_braid_pairs(degree):
             found += 1
             N = new_nfi((block_sum(p, r1), block_sum(q, r2)))
             assert any(nfi_equal(N, entry) for entry in cat3)
@@ -228,19 +234,27 @@ def test_catalog_three_is_complete():
 
 
 def test_braid_pairs_match_the_product_test():
+    # the scan yields, in order, the product-test pairs whose p is the first
+    # permutation of its cycle type, and it loses no relabelling class
     for degree in range(1, 6):
-        perms = [Permutation(t) for t in itertools.permutations(range(degree))]
-        want = [
-            (p, q) for p, q in itertools.product(perms, repeat=2) if p * q * p == q * p * q
-        ]
-        assert list(_braid_pairs(degree)) == want
+        first_of_type = {}
+        for t in itertools.permutations(range(degree)):
+            p = Permutation(t)
+            first_of_type.setdefault(tuple(sorted(p.cycle_lengths())), p)
+        least = set(first_of_type.values())
+        every = _brute_braid_pairs(degree)
+        got = list(_braid_pairs(degree))
+        assert got == [(p, q) for p, q in every if p in least]
+        assert {_pair_class(p, q) for p, q in every} == {
+            _pair_class(p, q) for p, q in got
+        }
 
 
 def _every_candidate(max_degree):
     # each braid pair adjoined to rho, with no relabelling-class skip
     r1, r2 = rho().images
     for degree in range(1, max_degree + 1):
-        for p, q in _braid_pairs(degree):
+        for p, q in _brute_braid_pairs(degree):
             yield p, q, new_nfi((block_sum(p, r1), block_sum(q, r2)))
 
 
@@ -267,7 +281,7 @@ def test_pairs_sharing_a_class_share_a_kernel():
 def test_pair_class_ignores_relabelling():
     rng = random.Random(20240)
     for degree in range(1, 5):
-        for p, q in _braid_pairs(degree):
+        for p, q in _brute_braid_pairs(degree):
             key = _pair_class(p, q)
             for _ in range(3):
                 s = Permutation(tuple(rng.sample(range(degree), degree)))
@@ -280,6 +294,48 @@ def test_catalog_degree_six_adds_no_kernel():
         return [(N.degree, N.data.index_pb3, N.content_id) for N in catalog]
 
     assert rows(catalog_search(6)) == rows(catalog_search(5))
+
+
+def test_catalog_matches_the_same_type_grid_at_degree_six():
+    # the scan of every same-cycle-type pair ordered by p, written out here,
+    # with the relabelling-class skip and the kernel dedupe
+    r1, r2 = rho().images
+    kept, seen = [], set()
+    for degree in range(1, 7):
+        sym = [Permutation(t) for t in itertools.permutations(range(degree))]
+        by_type = {}
+        for p in sym:
+            by_type.setdefault(tuple(sorted(p.cycle_lengths())), []).append(p)
+        for p in sym:
+            a = p.images
+            for q in by_type[tuple(sorted(p.cycle_lengths()))]:
+                b = q.images
+                if any(a[b[a[i]]] != b[a[b[i]]] for i in range(degree)):
+                    continue  # p q p != q p q
+                key = _pair_class(p, q)
+                if key in seen:
+                    continue
+                seen.add(key)
+                cand = new_nfi((block_sum(p, r1), block_sum(q, r2)))
+                if not any(nfi_equal(cand, N) for N in kept):
+                    kept.append(cand)
+    kept.sort(key=lambda N: (N.b3_quotient.order, N.content_id))
+    assert [N.content_id for N in kept] == [N.content_id for N in catalog_search(6)]
+
+
+def test_catalog_degree_seven_is_frozen(cat09, cat10):
+    # content ids of catalog_search(7, degree_limit=7) as the scan of every
+    # same-type pair found them
+    cat7 = catalog_search(7, degree_limit=7)
+    assert [N.content_id for N in cat7] == [
+        "61ec01df5cb7793c", "20aa53948e46f3e5", "6bb3f6f19e9c4905",
+        "d7b31dcf039538fc", "c583f54b16550d45", "b08d8463f0ab8898",
+        "cabf674fc59c0445", "0715248457b02fe6", "198112c66f20c7ce",
+        "d50f0010ebc131a6", "e8ed3ec71cdcae32", "a04f86807e4664dd",
+        "6fd41d4f72e17a79", "8e0780a58b21ece8", "fa02a77bb61a3b35",
+    ]
+    assert cat7[9].hom.images == cat09.hom.images
+    assert cat7[10].hom.images == cat10.hom.images
 
 
 def test_kernel_containment_is_capped_by_the_first_image():
