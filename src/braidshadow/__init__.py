@@ -46,7 +46,6 @@ from .subgroups import (
     nfi_equal,
     nfi_intersect,
     pb3_subgroup,
-    quotient_data,
     rho,
 )
 from .shadows import (

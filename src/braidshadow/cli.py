@@ -30,7 +30,6 @@ import json
 import os
 import sys
 import tempfile
-from datetime import datetime, timezone
 
 from .errors import BraidshadowError
 from .groupoid import (
@@ -136,13 +135,21 @@ def _cache_dir(args) -> str:
     )
 
 
+def _sha256(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 def _cache_key(content: dict) -> str:
-    blob = json.dumps({"schema": 1, "content": content}, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return _sha256({"schema": 1, "content": content})
 
 
 def _cache_get(args, content: dict):
-    """The cached payload, or None when the entry is missing or malformed."""
+    """The cached payload, or None when the entry is missing or malformed.
+
+    An entry is used only if its ``key`` is the requested key and its
+    ``sha256`` is the hash of its payload, so a payload changed after it
+    was written is recomputed rather than read.
+    """
     key = _cache_key(content)
     try:
         with open(os.path.join(_cache_dir(args), key + ".json"), encoding="utf-8") as fh:
@@ -152,17 +159,15 @@ def _cache_get(args, content: dict):
     if not isinstance(entry, dict) or entry.get("key") != key:
         return None
     payload = entry.get("payload")
-    return payload if isinstance(payload, dict) else None
+    if not isinstance(payload, dict) or entry.get("sha256") != _sha256(payload):
+        return None
+    return payload
 
 
 def _cache_put(args, content: dict, payload) -> None:
     cdir = _cache_dir(args)
     os.makedirs(cdir, exist_ok=True)
-    wrapper = {
-        "key": _cache_key(content),
-        "created_at": datetime.now(timezone.utc).isoformat(),
-        "payload": payload,
-    }
+    wrapper = {"key": _cache_key(content), "sha256": _sha256(payload), "payload": payload}
     fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:

@@ -139,16 +139,18 @@ def check_simplified_hexagons(N: NfiSubgroup, m: int, f: FreeWord) -> bool:
     return quotient.evaluate(w).is_identity()
 
 
-def _t_f2_onto(N: NfiSubgroup, m: int, big_f: Permutation) -> bool:
-    """Do x^(2m+1) and F^-1 y^(2m+1) F generate F2/N_F2?  (F: f's image.)
+def _t_f2_onto(N: NfiSubgroup, big_f: Permutation) -> bool:
+    """Do x and F^-1 y F generate F2/N_F2?  (F: f's image.)
 
-    Equivalent to T itself being onto B3/N, which is the cheaper thing to
-    test because it avoids the six extra cosets.
+    For a unit 2m+1 this is T being onto B3/N, which is the cheaper thing
+    to test because it avoids the six extra cosets.  T is onto exactly when
+    x^(2m+1) and F^-1 y^(2m+1) F generate F2/N_F2, and raising an element
+    to a power prime to N_ord keeps the cyclic group it generates, since
+    the orders of x and y divide N_ord.  So the test does not involve m.
     """
     d = N.data
-    k = 2 * m + 1
-    ey = big_f.inverse() * d.y_image**k * big_f
-    return is_generating_set(d.f2_quotient, (d.x_image**k, ey))
+    ey = big_f.inverse() * d.y_image * big_f
+    return is_generating_set(d.f2_quotient, (d.x_image, ey))
 
 
 def is_shadow(N: NfiSubgroup, m: int, f: FreeWord) -> bool:
@@ -160,6 +162,8 @@ def is_shadow(N: NfiSubgroup, m: int, f: FreeWord) -> bool:
     :func:`check_hexagons` depend only on m mod N_ord and on F, some
     commutator word has image F, and on a commutator word the full and the
     simplified hexagons agree.  gcd(2m+1, N_ord) only depends on m mod N_ord.
+    The unit check comes first, because surjectivity (:func:`_t_f2_onto`)
+    is tested on F alone, which is exact only for a unit 2m+1.
     """
     d = N.data
     m %= d.n_ord
@@ -169,7 +173,7 @@ def is_shadow(N: NfiSubgroup, m: int, f: FreeWord) -> bool:
     if big_f not in d.f2_commutator:
         return False
     hexagons = _theta_hexagon(N, big_f) and _tau_hexagon(N, m)(big_f)
-    return hexagons and _t_f2_onto(N, m, big_f)
+    return hexagons and _t_f2_onto(N, big_f)
 
 
 def t_hom(s: GtShadow) -> GenHom:
@@ -274,7 +278,8 @@ def enumerate_shadows(
     The candidate grid is {unit residues} x {commutator subgroup of
     F2/N_F2}.  Every test works on elements of B3/N: the hexagons as
     conjugations (:func:`_hexagon_points`), then surjectivity on f's image
-    (:func:`_t_f2_onto`).  Only a kept shadow gets a word, spelled by
+    alone (:func:`_t_f2_onto`; every m of the grid is a unit, so m does not
+    enter).  Only a kept shadow gets a word, spelled by
     ``f2_commutator.word_of``; :func:`check_simplified_hexagons` stays as
     the word-level reference.
 
@@ -292,7 +297,7 @@ def enumerate_shadows(
         N._shadows = [
             GtShadow(N, m, comm.word_of(F), F)
             for m, F in _hexagon_points(N, units)
-            if _t_f2_onto(N, m, F)
+            if _t_f2_onto(N, F)
         ]
     return list(N._shadows)
 

@@ -28,15 +28,7 @@ from .perms import (
     commutator_subgroup,
     generate_group,
 )
-from .words import (
-    TAG_B3,
-    TAG_F2,
-    TRANSVERSAL_LABELS,
-    TRANSVERSAL_WORDS,
-    FreeWord,
-    b3_normal_form,
-    letter,
-)
+from .words import COSET_TABLE, TAG_B3, TAG_F2, TRANSVERSAL_LABELS, FreeWord
 
 # Six and no more: the search holds all n! permutations of each degree, and
 # the `catalog` command enumerates the shadows of every entry it finds.
@@ -181,10 +173,6 @@ def pb3_subgroup() -> NfiSubgroup:
     return new_nfi(rho().images, label="pb3")
 
 
-def quotient_data(N: NfiSubgroup) -> QuotientData:
-    return N.data
-
-
 def nfi_contains(N: NfiSubgroup, H: NfiSubgroup) -> bool:
     """True iff N <= H as subgroups of B3: B3/N maps onto B3/H."""
     return N == H or N.b3_quotient.maps_onto(H.b3_quotient)
@@ -214,15 +202,6 @@ def nfi_intersect(
 # ---------------------------------------------------------------------------
 # the subgroup attached to a finite quotient of F2
 
-# t_s * sigma_i in normal form, for each transversal label s and i in {0,1}:
-# (F2 word, new label).  The c-exponent is irrelevant here because the
-# construction kills c.
-_COSET_STEP: dict[tuple[str, int], tuple[FreeWord, str]] = {}
-for _label, _i in itertools.product(TRANSVERSAL_LABELS, (0, 1)):
-    _nf = b3_normal_form(TRANSVERSAL_WORDS[_label] * letter(TAG_B3, _i))
-    _COSET_STEP[(_label, _i)] = (_nf.f2_part, _nf.coset_index)
-
-
 def from_f2_quotient(
     psi_images: tuple[Permutation, Permutation],
     label: str = "",
@@ -232,10 +211,12 @@ def from_f2_quotient(
 
     psi extends to psi-tilde: PB3 -> im(psi) by x12 -> psi(x), x23 -> psi(y),
     c -> 1.  B3 then acts on the cosets of ker(psi-tilde); cosets are pairs
-    (element of im(psi), transversal label), and one sigma-generator moves a
-    pair by the normal form of (transversal word) * sigma_i.  The kernel of
-    that action is the normal core, a finite-index normal subgroup of B3
-    inside PB3 whose F2-part is contained in ker(psi).
+    (element of im(psi), transversal label), and sigma_i moves a pair by the
+    positive row of :data:`~braidshadow.words.COSET_TABLE` for its label:
+    the row's F2 word multiplies the element on the right, its label
+    replaces the pair's, and its c delta is ignored, since c dies.  The
+    kernel of that action is the normal core, a finite-index normal
+    subgroup of B3 inside PB3 whose F2-part is contained in ker(psi).
     """
     psi = GenHom(TAG_F2, tuple(psi_images))
     image_group = generate_group(list(psi.images), tag=TAG_F2, max_size=max_group_size)
@@ -246,8 +227,8 @@ def from_f2_quotient(
     def action(i: int) -> Permutation:
         images = [0] * (n * n_labels)
         for s_idx, s_label in enumerate(TRANSVERSAL_LABELS):
-            word, new_label = _COSET_STEP[(s_label, i)]
-            move = image_group.evaluate(word)
+            f2, _dc, new_label = COSET_TABLE[s_label, (i, 1)]
+            move = image_group.evaluate(FreeWord(TAG_F2, f2))
             for g_idx, g in enumerate(image_group.elements_in_order):
                 point = g_idx * n_labels + s_idx
                 images[point] = (

@@ -12,20 +12,19 @@ Conventions used throughout the package:
 * Products read left to right: the word ``u v`` means "u then v", matching the
   permutation composition convention in :mod:`braidshadow.perms`.
 
-The key identities this module encodes (all checked against the Artin oracle
-in the test suite):
-
-* conjugation by sigma-letters maps F2 x <c> to itself:
-  sigma_1 y sigma_1^-1 = y^-1 x^-1 c,  sigma_2 x sigma_2^-1 = x^-1 y^-1 c
-  (and sigma_1 commutes with x, sigma_2 with y, everything with c);
-* delta sigma_1 = y sigma_1 sigma_2 and delta sigma_2 = x sigma_2 sigma_1,
-  which close the six-coset bookkeeping over the fixed transversal
-  {e, sigma_1, sigma_2, sigma_1 sigma_2, sigma_2 sigma_1, delta}.
+The six-coset bookkeeping over the fixed transversal
+{e, sigma_1, sigma_2, sigma_1 sigma_2, sigma_2 sigma_1, delta} is one table,
+:data:`COSET_TABLE`, that :func:`b3_normal_form` and
+:func:`braidshadow.subgroups.from_f2_quotient` both read.  Its 24 rows are
+identities in B3, each checked against the Artin oracle in the test suite;
+among them are the conjugation identities
+sigma_1 y sigma_1^-1 = y^-1 x^-1 c and sigma_2 x sigma_2^-1 = x^-1 y^-1 c
+(rows (ab, sigma_2) and (ba, sigma_1)), and delta sigma_1 = y sigma_1 sigma_2
+and delta sigma_2 = x sigma_2 sigma_1.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from .errors import NotCommutatorWordError
@@ -211,53 +210,37 @@ TRANSVERSAL_WORDS = {
     "aba": DELTA,
 }
 
-# Left conjugation of the positive F2 letters by a single positive
-# sigma-letter: _CONJ[i][j] = (letters of sigma_{i+1} x_j sigma_{i+1}^-1, c-delta).
-_CONJ = {
-    0: {0: (((0, 1),), 0), 1: (((1, -1), (0, -1)), 1)},
-    1: {0: (((0, -1), (1, -1)), 1), 1: (((1, 1),), 0)},
+# The coset table.  In B3, a transversal word t times a sigma-letter is
+# w c^k t' for an F2 word w and a transversal word t'; the row
+# COSET_TABLE[(label of t, letter)] is (letters of w, k, label of t').
+# Letters are (generator index, sign): (0, 1) is sigma_1, (1, -1) is
+# sigma_2^-1, and on the F2 side (0, 1) is x, (1, -1) is y^-1.
+COSET_TABLE = {
+    ("e", (0, 1)): ((), 0, "a"),
+    ("e", (0, -1)): (((0, -1),), 0, "a"),
+    ("e", (1, 1)): ((), 0, "b"),
+    ("e", (1, -1)): (((1, -1),), 0, "b"),
+    ("a", (0, 1)): (((0, 1),), 0, "e"),
+    ("a", (0, -1)): ((), 0, "e"),
+    ("a", (1, 1)): ((), 0, "ab"),
+    ("a", (1, -1)): (((0, 1), (1, 1)), -1, "ab"),
+    ("b", (0, 1)): ((), 0, "ba"),
+    ("b", (0, -1)): (((1, 1), (0, 1)), -1, "ba"),
+    ("b", (1, 1)): (((1, 1),), 0, "e"),
+    ("b", (1, -1)): ((), 0, "e"),
+    ("ab", (0, 1)): ((), 0, "aba"),
+    ("ab", (0, -1)): (((1, -1),), 0, "aba"),
+    ("ab", (1, 1)): (((1, -1), (0, -1)), 1, "a"),
+    ("ab", (1, -1)): ((), 0, "a"),
+    ("ba", (0, 1)): (((0, -1), (1, -1)), 1, "b"),
+    ("ba", (0, -1)): ((), 0, "b"),
+    ("ba", (1, 1)): ((), 0, "aba"),
+    ("ba", (1, -1)): (((0, -1),), 0, "aba"),
+    ("aba", (0, 1)): (((1, 1),), 0, "ab"),
+    ("aba", (0, -1)): ((), 0, "ab"),
+    ("aba", (1, 1)): (((0, 1),), 0, "ba"),
+    ("aba", (1, -1)): ((), 0, "ba"),
 }
-
-# Absorbing a positive sigma-letter into a transversal word:
-# _STEP[(label, i)] = (F2 letters popped out to the left, c-delta, new label).
-_STEP = {
-    ("e", 0): ((), 0, "a"),
-    ("e", 1): ((), 0, "b"),
-    ("a", 0): (((0, 1),), 0, "e"),
-    ("a", 1): ((), 0, "ab"),
-    ("b", 0): ((), 0, "ba"),
-    ("b", 1): (((1, 1),), 0, "e"),
-    ("ab", 0): ((), 0, "aba"),
-    ("ab", 1): (((1, -1), (0, -1)), 1, "a"),
-    ("ba", 0): (((0, -1), (1, -1)), 1, "b"),
-    ("ba", 1): ((), 0, "aba"),
-    ("aba", 0): (((1, 1),), 0, "ab"),
-    ("aba", 1): (((0, 1),), 0, "ba"),
-}
-
-
-def _conj_letters_by_sigma(i: int, letters, c_exp: int):
-    """Conjugate an F2 word (given as letters) on the left by sigma_{i+1}.
-
-    The letters come out unreduced; free reduction is left to FreeWord.
-    """
-    out: list[Letter] = []
-    for g, s in letters:
-        img, dc = _CONJ[i][g]
-        if s < 0:
-            img, dc = tuple((a, -b) for a, b in reversed(img)), -dc
-        c_exp += dc
-        out.extend(img)
-    return out, c_exp
-
-
-def _conj_by_transversal(label: str, letters):
-    """Compute t * w * t^-1 for the transversal word t of ``label``."""
-    c_exp = 0
-    current = list(letters)
-    for g, _sign in reversed(TRANSVERSAL_WORDS[label].letters):
-        current, c_exp = _conj_letters_by_sigma(g, current, c_exp)
-    return current, c_exp
 
 
 @dataclass(frozen=True)
@@ -286,24 +269,19 @@ class B3NormalForm:
 def b3_normal_form(w: FreeWord) -> B3NormalForm:
     """Left-to-right rewriting of a braid word into its PB3-transversal form.
 
-    State is (F2 prefix, c exponent, transversal label).  A positive letter is
-    absorbed through the _STEP table.  A negative letter sigma_i^-1 is first
-    replaced by (x or y)^-1 sigma_i and the F2 letter pushed out to the left
-    through the pending transversal word via the conjugation identities.
-    The F2 prefix is freely reduced once, when it becomes a FreeWord.
+    State is (F2 prefix, c exponent, transversal label).  Each letter is one
+    :data:`COSET_TABLE` lookup: its row's F2 letters go onto the prefix, its
+    c delta onto the exponent, and its label becomes the state's.  The F2
+    prefix is freely reduced once, when it becomes a FreeWord.
     """
     if w.tag != TAG_B3:
         raise ValueError("b3_normal_form expects a braid word")
     prefix: list[Letter] = []
     c_exp = 0
     label = "e"
-    for g, s in w.letters:
-        if s < 0:
-            moved, dc = _conj_by_transversal(label, ((g, -1),))
-            prefix.extend(moved)
-            c_exp += dc
-        out, dc, label = _STEP[(label, g)]
-        prefix.extend(out)
+    for lt in w.letters:
+        f2, dc, label = COSET_TABLE[label, lt]
+        prefix.extend(f2)
         c_exp += dc
     return B3NormalForm(FreeWord(TAG_F2, tuple(prefix)), c_exp, label)
 
@@ -384,9 +362,10 @@ def all_reduced_words(tag: str, max_len: int, n_gens: int = 2):
 
 
 def _selfcheck():  # pragma: no cover - exercised via tests
-    """Cheap consistency checks of the rewrite tables against the oracle."""
-    for label, i in itertools.product(TRANSVERSAL_LABELS, (0, 1)):
-        for sign in (1, -1):
-            w = TRANSVERSAL_WORDS[label] * letter(TAG_B3, i, sign)
-            nf = b3_normal_form(w)
-            assert artin_equal(w, nf.reassemble()), (label, i, sign)
+    """Check every row of the coset table as an identity in B3."""
+    letters = [(g, s) for g in (0, 1) for s in (1, -1)]
+    assert set(COSET_TABLE) == {(lab, lt) for lab in TRANSVERSAL_LABELS for lt in letters}
+    for (label, lt), (f2, dc, new_label) in COSET_TABLE.items():
+        lhs = TRANSVERSAL_WORDS[label] * FreeWord(TAG_B3, (lt,))
+        rhs = B3NormalForm(FreeWord(TAG_F2, f2), dc, new_label).reassemble()
+        assert artin_equal(lhs, rhs), (label, lt)

@@ -367,19 +367,38 @@ def test_cache_makes_output_reproducible(files, tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "junk",
-    ["junk", "[]", "5", '{"payload": 5}', '{"payload": {}}', "[" * 200_000 + "]" * 200_000],
-    ids=["junk", "list", "number", "payload-number", "payload-without-key", "deep"],
+    [
+        "junk",
+        "[]",
+        "5",
+        '{"payload": 5}',
+        '{"payload": {}}',
+        "[" * 200_000 + "]" * 200_000,
+        '{"key": KEY, "payload": {"x": 1}}',
+    ],
+    ids=[
+        "junk",
+        "list",
+        "number",
+        "payload-number",
+        "payload-without-key",
+        "deep",
+        "right-key-wrong-payload",
+    ],
 )
 def test_cache_survives_corruption(files, tmp_path, capsys, junk):
+    # KEY stands for the entry's own key, as a JSON string
     cache = tmp_path / "c"
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     run_command(["shadows", files["cat04"], "--json", str(out1), "--cache-dir", str(cache)])
+    fresh = {entry.name: entry.read_bytes() for entry in cache.iterdir()}
     for entry in cache.iterdir():
-        entry.write_text(junk, encoding="utf-8")
+        entry.write_text(junk.replace("KEY", json.dumps(entry.stem)), encoding="utf-8")
     assert run_command(
         ["shadows", files["cat04"], "--json", str(out2), "--cache-dir", str(cache)]
     ) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    assert {entry.name: entry.read_bytes() for entry in cache.iterdir()} == fresh
     capsys.readouterr()
 
 

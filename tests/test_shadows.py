@@ -14,12 +14,15 @@ from braidshadow.perms import (
     Permutation,
     block_sum,
     closure_order,
+    is_generating_set,
     kernel_contained,
     kernels_equal,
 )
 from braidshadow.shadows import (
     GtShadow,
     _hexagon_points,
+    _t_f2_onto,
+    _theta_hexagon,
     check_hexagons,
     check_simplified_hexagons,
     compose_shadows,
@@ -203,6 +206,27 @@ def test_word_free_enumeration_matches_the_word_level_reference(
         ]
         got = [(s.m, s.f_word, s.f_elt) for s in enumerate_shadows(N)]
         assert got == [(m, comm.word_of(elt), elt) for m, elt in onto], N.label
+
+
+def test_surjectivity_on_f_alone_matches_the_m_dependent_test(cat09, cat10):
+    # for a unit k = 2m+1, x^k and F^-1 y^k F generate the cyclic groups of
+    # x and F^-1 y F, so the generated subgroup does not depend on m
+    checked = refused = 0
+    for N in [*catalog_search(5), cat09, cat10]:
+        d = N.data
+        thetas = [F for F in d.f2_commutator.elements_in_order if _theta_hexagon(N, F)]
+        for m in range(d.n_ord):
+            k = 2 * m + 1
+            if math.gcd(k, d.n_ord) != 1:
+                continue
+            for F in thetas:
+                want = is_generating_set(
+                    d.f2_quotient, (d.x_image**k, F.inverse() * d.y_image**k * F)
+                )
+                assert _t_f2_onto(N, F) == want, (N.label, m)
+                checked += 1
+                refused += not want
+    assert (checked, refused) == (111, 30)  # not vacuous: some points fail
 
 
 def test_tree_spelled_inversion_matches_the_e_endo_table(pb3, catalog4, cat09, cat10):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import math
 import random
@@ -33,10 +34,18 @@ from braidshadow.subgroups import (
     nfi_equal,
     nfi_intersect,
     pb3_subgroup,
-    quotient_data,
     rho,
 )
-from braidshadow.words import TAG_F2, X, Y, word_from_text
+from braidshadow.words import (
+    TAG_B3,
+    TAG_F2,
+    X,
+    Y,
+    b3_normal_form,
+    random_word,
+    word_from_text,
+    word_to_text,
+)
 
 
 def test_rho_values():
@@ -80,7 +89,7 @@ def test_content_id_tracks_realization():
 
 def test_quotient_structure_invariants(pb3, catalog4):
     for N in [pb3, *catalog4]:
-        d = quotient_data(N)
+        d = N.data
         assert d.b3_quotient.order == 6 * d.index_pb3
         assert d.index_f2 == d.f2_quotient.order
         orders = (d.x_image.order(), d.y_image.order(), d.c_image.order())
@@ -171,6 +180,26 @@ def test_from_f2_quotient_word_consistency():
         key = N.evaluate_f2(w)
         val = psi.evaluate(w)
         assert seen.setdefault(key, val) == val
+
+
+def test_normal_forms_and_cores_are_frozen():
+    # the coset table serves both b3_normal_form and from_f2_quotient: one
+    # sha256 over the normal forms of 2,000 seeded braid words of length
+    # 0..60 and the cores of all 36 pairs of S3 images, frozen from the
+    # implementation that pushed negative letters through conjugation maps
+    rng = random.Random(20240613)
+    digest = hashlib.sha256()
+    for _ in range(2000):
+        nf = b3_normal_form(random_word(rng, TAG_B3, 60))
+        digest.update(f"{word_to_text(nf.f2_part)} {nf.c_exponent} {nf.coset_index}\n".encode())
+    s3 = [Permutation(p) for p in itertools.permutations(range(3))]
+    cores = [from_f2_quotient(pair).content_id for pair in itertools.product(s3, repeat=2)]
+    for cid in cores:
+        digest.update(f"{cid}\n".encode())
+    assert len(set(cores)) == 11
+    assert digest.hexdigest() == (
+        "14bde1a9771c4a091289f05dd15fc6cdf81540400a5d5ad334fc6a8f453ca8a0"
+    )
 
 
 # ---------------------------------------------------------------------------
