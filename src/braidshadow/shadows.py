@@ -279,9 +279,9 @@ def enumerate_shadows(
     F2/N_F2}.  Every test works on elements of B3/N: the hexagons as
     conjugations (:func:`_hexagon_points`), then surjectivity on f's image
     alone (:func:`_t_f2_onto`; every m of the grid is a unit, so m does not
-    enter).  Only a kept shadow gets a word, spelled by
-    ``f2_commutator.word_of``; :func:`check_simplified_hexagons` stays as
-    the word-level reference.
+    enter, and each F is tested once).  Only a kept shadow gets a word,
+    spelled by ``f2_commutator.word_of``; :func:`check_simplified_hexagons`
+    stays as the word-level reference.
 
     The cap is checked on every call, then the result is memoized on N
     itself, so every shadow returned has target N.  Enumeration is serial;
@@ -294,11 +294,14 @@ def enumerate_shadows(
         raise CandidateCapExceeded(max_candidates, total)
     if N._shadows is None:
         comm = d.f2_commutator
-        N._shadows = [
-            GtShadow(N, m, comm.word_of(F), F)
-            for m, F in _hexagon_points(N, units)
-            if _t_f2_onto(N, F)
-        ]
+        onto: dict[Permutation, bool] = {}
+        kept = []
+        for m, F in _hexagon_points(N, units):
+            if F not in onto:
+                onto[F] = _t_f2_onto(N, F)
+            if onto[F]:
+                kept.append(GtShadow(N, m, comm.word_of(F), F))
+        N._shadows = kept
     return list(N._shadows)
 
 

@@ -1,4 +1,4 @@
-"""Exact word arithmetic for B3, F2 and the Artin action on F3.
+"""Exact word arithmetic for B3 and F2, and an exact equality oracle for B3.
 
 Conventions used throughout the package:
 
@@ -16,11 +16,18 @@ The six-coset bookkeeping over the fixed transversal
 {e, sigma_1, sigma_2, sigma_1 sigma_2, sigma_2 sigma_1, delta} is one table,
 :data:`COSET_TABLE`, that :func:`b3_normal_form` and
 :func:`braidshadow.subgroups.from_f2_quotient` both read.  Its 24 rows are
-identities in B3, each checked against the Artin oracle in the test suite;
-among them are the conjugation identities
+identities in B3, each checked against the equality oracle in the test
+suite; among them are the conjugation identities
 sigma_1 y sigma_1^-1 = y^-1 x^-1 c and sigma_2 x sigma_2^-1 = x^-1 y^-1 c
 (rows (ab, sigma_2) and (ba, sigma_1)), and delta sigma_1 = y sigma_1 sigma_2
 and delta sigma_2 = x sigma_2 sigma_1.
+
+Equality in B3 is decided in SL2(Z) x Z, by :func:`artin_equal`: a braid
+word maps to the product of its letters' 2x2 integer matrices and to its
+exponent sum, which costs one small matrix product per letter.  It does not
+use the coset table, so it checks the table and the normal form
+independently.  The faithful Artin action on F3 (:func:`artin_images`) is
+kept as the reference; its images grow exponentially with word length.
 """
 
 from __future__ import annotations
@@ -287,7 +294,7 @@ def b3_normal_form(w: FreeWord) -> B3NormalForm:
 
 
 # ---------------------------------------------------------------------------
-# Artin action of B3 on F3: the exact equality oracle
+# Artin action of B3 on F3: the reference for the equality oracle
 
 # Images of (a1, a2, a3) under each sigma-letter, as signed 1-based letters.
 _ARTIN = {
@@ -317,7 +324,8 @@ def artin_images(w: FreeWord) -> tuple[tuple[int, ...], ...]:
     Letters are processed left to right; the accumulated endomorphism is
     composed on the right, so the map w -> images is a homomorphism for the
     package-wide "apply left factor first" convention.  The action is
-    faithful, which makes equality of images an exact equality test in B3.
+    faithful, so equal images mean equal braids; the images grow
+    exponentially with word length, so :func:`artin_equal` does not use it.
     """
     if w.tag != TAG_B3:
         raise ValueError("artin_images expects a braid word")
@@ -328,9 +336,46 @@ def artin_images(w: FreeWord) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(im) for im in images)
 
 
+# ---------------------------------------------------------------------------
+# B3 -> SL2(Z) x Z: the exact equality oracle
+
+# The matrix (p, q, r, s) = [[p, q], [r, s]] of each sigma-letter.
+_SL2Z = {
+    (0, 1): (1, 1, 0, 1),
+    (0, -1): (1, -1, 0, 1),
+    (1, 1): (1, 0, -1, 1),
+    (1, -1): (1, 0, 1, 1),
+}
+
+
+def _sl2z_key(w: FreeWord) -> tuple[int, int, int, int, int]:
+    """(a, b, c, d, e): the matrix [[a, b], [c, d]] of the braid ``w`` in
+    SL2(Z), a product of letter matrices read left to right, and its
+    exponent sum e."""
+    if w.tag != TAG_B3:
+        raise ValueError("artin_equal expects braid words")
+    a, b, c, d, e = 1, 0, 0, 1, 0
+    for lt in w.letters:
+        p, q, r, s = _SL2Z[lt]
+        a, b, c, d = a * p + b * r, a * q + b * s, c * p + d * r, c * q + d * s
+        e += lt[1]
+    return a, b, c, d, e
+
+
 def artin_equal(u: FreeWord, v: FreeWord) -> bool:
-    """True iff u = v in B3 (decided via the faithful action on F3)."""
-    return artin_images(u) == artin_images(v)
+    """True iff u = v in B3, decided in SL2(Z) x Z.
+
+    sigma_1 maps to [[1, 1], [0, 1]] and sigma_2 to [[1, 0], [-1, 1]]; both
+    sides of the braid relation map to delta's matrix [[0, 1], [-1, 0]], so
+    this is a homomorphism B3 -> SL2(Z).  It is onto, and its kernel is
+    generated by delta^4 (Kassel-Turaev, Braid Groups, GTM 247, section 1.5;
+    delta^2 maps to -I).  The exponent sum is a homomorphism B3 -> Z, and
+    delta^(4k) has exponent sum 12k.  So a braid that maps to (I, 0) is
+    some delta^(4k) with 12k = 0, the identity: the pair of maps is
+    injective, and equal keys mean u = v in B3.  Raises ``ValueError`` on a
+    word that is not a braid word.
+    """
+    return _sl2z_key(u) == _sl2z_key(v)
 
 
 def random_word(rng, tag: str, max_len: int, n_gens: int = 2) -> FreeWord:

@@ -229,6 +229,22 @@ def test_surjectivity_on_f_alone_matches_the_m_dependent_test(cat09, cat10):
     assert (checked, refused) == (111, 30)  # not vacuous: some points fail
 
 
+def test_surjectivity_is_tested_once_per_f(monkeypatch):
+    # the test depends on F alone, so the grid's units do not repeat it
+    calls = []
+
+    def counting(N, big_f):
+        calls.append((N.label, big_f))
+        return _t_f2_onto(N, big_f)
+
+    monkeypatch.setattr("braidshadow.shadows._t_f2_onto", counting)
+    kernels = catalog_search(5)
+    assert len(kernels) == 7
+    for N in kernels:
+        enumerate_shadows(N)
+    assert len(calls) == len(set(calls)) == 19
+
+
 def test_tree_spelled_inversion_matches_the_e_endo_table(pb3, catalog4, cat09, cat10):
     for N in [pb3, *catalog4, cat09, cat10]:
         d = N.data

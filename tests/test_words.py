@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 
 import hypothesis
 import hypothesis.strategies as strat
@@ -35,6 +37,7 @@ from braidshadow.words import (
     word_from_text,
     word_to_text,
     _selfcheck,
+    _sl2z_key,
 )
 
 
@@ -216,6 +219,19 @@ def test_artin_braid_relation():
     assert not artin_equal(SIGMA1, SIGMA2)
 
 
+def test_sl2z_oracle_kernel_cases():
+    # delta^4 is in the kernel of B3 -> SL2(Z); only its exponent sum, 12,
+    # tells it apart from the identity
+    assert _sl2z_key(C_WORD * C_WORD) == (1, 0, 0, 1, 12)
+    assert not artin_equal(C_WORD * C_WORD, empty_word(TAG_B3))
+    assert _sl2z_key(DELTA) == (0, 1, -1, 0, 3)
+    assert _sl2z_key(C_WORD) == (-1, 0, 0, -1, 6)
+    with pytest.raises(ValueError):
+        artin_equal(X, X)
+    with pytest.raises(ValueError):
+        artin_equal(SIGMA1, X)
+
+
 def test_artin_center():
     # c = delta^2 fixes every generator up to conjugation by the full twist;
     # in particular c commutes with sigma_1 and sigma_2
@@ -264,9 +280,12 @@ def test_normal_form_inverts_the_embedding(w):
 
 
 def test_normal_form_exhaustive_short_words():
-    # round trip against the faithful action, and uniqueness: words equal in
-    # B3 must produce identical normal forms
+    # round trip through the oracle, and uniqueness: words equal in B3 (equal
+    # images under the faithful action on F3) must produce identical normal
+    # forms; the oracle's SL2(Z) x Z key and the F3 images must partition the
+    # words into the same classes
     seen = {}
+    pairs = set()
     count = 0
     for w in all_reduced_words(TAG_B3, 8):
         nf = b3_normal_form(w)
@@ -274,8 +293,22 @@ def test_normal_form_exhaustive_short_words():
         assert artin_equal(w, nf.reassemble()), word_to_text(w)
         triple = (nf.f2_part, nf.c_exponent, nf.coset_index)
         assert seen.setdefault(key, triple) == triple, word_to_text(w)
+        pairs.add((key, _sl2z_key(w)))
         count += 1
-    assert count == 1 + sum(4 * 3 ** (k - 1) for k in range(1, 9))
+    assert count == 1 + sum(4 * 3 ** (k - 1) for k in range(1, 9)) == 13_121
+    assert len(seen) == len({sl2z for _, sl2z in pairs}) == len(pairs) == 2_589
+
+
+def test_oracle_on_long_words_is_bounded():
+    # F3 images grow exponentially with word length; the SL2(Z) x Z key is
+    # five integers, each of at most 400 bits at 400 letters
+    rng = random.Random(20261019)
+    start = time.perf_counter()
+    for _ in range(1_000):
+        letters = tuple((rng.randrange(2), rng.choice((1, -1))) for _ in range(400))
+        w = FreeWord(TAG_B3, letters)
+        assert artin_equal(w, b3_normal_form(w).reassemble())
+    assert time.perf_counter() - start < 5.0
 
 
 def test_transversal_is_the_six_costandard_reps():
