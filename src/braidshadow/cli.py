@@ -4,7 +4,8 @@ File kinds:
 
 * subgroup JSON (schema 1, strict): {"schema": 1, "label": str,
   "degree": n, "sigma1": [images], "sigma2": [images]}, the generator
-  images defining N as a kernel.  Unknown fields are rejected.
+  images defining N as a kernel.  Unknown fields, repeated keys and
+  non-integer numbers (``true``, ``1.0``) are rejected.
 * shadow set JSON: {"target": label, "n_ord": k, "shadows": [...]} where
   each shadow is {"m": int, "f": word text, "f_perm": [images],
   "source_label": str}.
@@ -53,6 +54,7 @@ from .subgroups import (
     NfiSubgroup,
     catalog_search,
     new_nfi,
+    object_key,
 )
 from .words import TAG_F2, word_from_text, word_to_text
 
@@ -60,15 +62,21 @@ _SUBGROUP_FIELDS = {"schema", "label", "degree", "sigma1", "sigma2"}
 
 
 def load_subgroup(path: str, max_group_size: int = DEFAULT_GROUP_SIZE_CAP) -> NfiSubgroup:
-    """Read and validate one subgroup file (strict schema 1)."""
+    """Read and validate one subgroup file (strict schema 1, no repeated keys)."""
+
+    def unique_keys(pairs):
+        if len({key for key, _ in pairs}) < len(pairs):
+            raise ValueError(f"{path}: repeated key in a JSON object")
+        return dict(pairs)
+
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique_keys)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    if doc.get("schema") != 1:
+    if type(doc.get("schema")) is not int or doc["schema"] != 1:
         raise ValueError(f"{path}: unsupported schema {doc.get('schema')!r}")
     unknown = sorted(set(doc) - _SUBGROUP_FIELDS)
     if unknown:
@@ -114,13 +122,11 @@ def save_doc(path: str, doc) -> None:
 
 
 def shadow_doc(s: GtShadow) -> dict:
-    source = shadow_source(s)
-    label = s.target.label if source is s.target else source.label
     return {
         "m": s.m,
         "f": word_to_text(s.f_word),
         "f_perm": list(s.f_elt.images),
-        "source_label": label,
+        "source_label": shadow_source(s).label,
     }
 
 
@@ -284,10 +290,7 @@ def _cmd_shadows(args) -> int:
 
 def _component_doc(args, N: NfiSubgroup) -> dict:
     report = connected_component(N, max_candidates=args.max_candidates)
-    order = sorted(
-        range(len(report.objects)),
-        key=lambda i: (report.objects[i].data.index_pb3, report.objects[i].content_id),
-    )
+    order = sorted(range(len(report.objects)), key=lambda i: object_key(report.objects[i]))
     rank = {old: new for new, old in enumerate(order)}
     morphisms = {}
     for (src, tgt), shadows in report.morphisms.items():
@@ -494,7 +497,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--max-candidates",
         type=int,
         default=DEFAULT_CANDIDATE_CAP,
-        help="cap on an enumeration grid",
+        help="cap on an enumeration grid and on each main-line level",
     )
     common.add_argument(
         "--threads",

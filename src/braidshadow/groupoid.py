@@ -10,15 +10,18 @@ decides N <= H), applied to each shadow's f image.
 
 Every ``threads`` parameter is accepted for compatibility and ignored:
 enumeration is serial.  Every ``max_candidates`` is passed to each
-:func:`enumerate_shadows` call a function makes.
+:func:`enumerate_shadows` call a function makes; :func:`main_line_limit`
+also applies it to each level of its limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import BraidshadowError, InternalInconsistencyError, NotContainedError
-from .subgroups import NfiSubgroup, nfi_contains, nfi_equal, nfi_intersect
+from .errors import (
+    BraidshadowError, CandidateCapExceeded, InternalInconsistencyError, NotContainedError
+)
+from .subgroups import NfiSubgroup, nfi_contains, nfi_equal, nfi_intersect, object_key
 from .shadows import DEFAULT_CANDIDATE_CAP, GtShadow, enumerate_shadows, shadow_source
 
 
@@ -43,14 +46,18 @@ def connected_component(
     """Breadth-first closure of {N} under "is the source of a shadow of".
 
     Every morphism is invertible, so following sources alone reaches the
-    whole component.  New objects are compared against known ones by cheap
-    invariants first, then by kernel equality.
+    whole component.  A source is compared with the known objects by kernel
+    equality (|B3/N| first); only a new object's quotient data is read, to
+    check that it agrees with N's on (index_pb3, index_f2, n_ord).
     """
     objects = [N]
     first = N.data
     morphisms: dict[tuple[int, int], list[GtShadow]] = {}
 
     def find_or_add(candidate: NfiSubgroup) -> int:
+        for i, known in enumerate(objects):
+            if nfi_equal(candidate, known):
+                return i
         d = candidate.data
         if (d.index_pb3, d.index_f2, d.n_ord) != (
             first.index_pb3,
@@ -61,9 +68,6 @@ def connected_component(
                 f"component object {candidate.label} disagrees with "
                 f"{N.label} on (index_pb3, index_f2, n_ord)"
             )
-        for i, known in enumerate(objects):
-            if nfi_equal(candidate, known):
-                return i
         objects.append(candidate)
         return len(objects) - 1
 
@@ -239,20 +243,19 @@ def main_line_limit(
 
     The limit is the set of tuples (one shadow per object) compatible with
     every edge table (one walk each); under componentwise composition it is
-    a group.  Found
-    by depth-first assignment with edge pruning, objects in a fixed
-    deterministic order.
+    a group.  It is filtered one object at a time, in :func:`object_key`
+    order: each kept prefix is extended by every shadow of the next object
+    that agrees with its edge tables to the earlier ones, so tuples come out
+    in lexicographic order.  A level is built only if its grid (kept
+    prefixes times shadows) is within ``max_candidates``; otherwise
+    CandidateCapExceeded is raised.
     """
     for entry in catalog:
         if not is_isolated(entry, max_candidates):
             raise BraidshadowError(
                 f"main line requires isolated objects; {entry.label} is not"
             )
-    order = sorted(
-        range(len(catalog)),
-        key=lambda i: (catalog[i].data.index_pb3, catalog[i].content_id),
-    )
-    objects = [catalog[i] for i in order]
+    objects = sorted(catalog, key=object_key)
     groups = {i: enumerate_shadows(obj, max_candidates) for i, obj in enumerate(objects)}
     edges: dict[tuple[int, int], dict[GtShadow, GtShadow]] = {}
     for i, finer in enumerate(objects):
@@ -262,26 +265,16 @@ def main_line_limit(
                 edges[(i, j)] = {s: _reduce(s, coarser, a) for s in groups[i]}
     diagram = MainLineDiagram(poset_objects=objects, groups=groups, edges=edges)
 
-    limit: list[tuple[GtShadow, ...]] = []
-    chosen: list[GtShadow] = []
-
-    def consistent(k: int, candidate: GtShadow) -> bool:
-        for j in range(k):
-            if (k, j) in edges and edges[(k, j)][candidate] != chosen[j]:
-                return False
-            if (j, k) in edges and edges[(j, k)][chosen[j]] != candidate:
-                return False
-        return True
-
-    def assign(k: int):
-        if k == len(objects):
-            limit.append(tuple(chosen))
-            return
-        for candidate in groups[k]:
-            if consistent(k, candidate):
-                chosen.append(candidate)
-                assign(k + 1)
-                chosen.pop()
-
-    assign(0)
+    limit: list[tuple[GtShadow, ...]] = [()]
+    for k, group in groups.items():
+        grid = len(limit) * len(group)
+        if grid > max_candidates:
+            raise CandidateCapExceeded(max_candidates, grid)
+        down = [(j, edges[(k, j)]) for j in range(k) if (k, j) in edges]
+        up = [(j, edges[(j, k)]) for j in range(k) if (j, k) in edges]
+        limit = [
+            (*t, c) for t in limit for c in group
+            if all(table[c] == t[j] for j, table in down)
+            and all(table[t[j]] == c for j, table in up)
+        ]
     return diagram, limit

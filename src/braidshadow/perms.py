@@ -341,7 +341,6 @@ def commutator_subgroup(
     seed_words: list[FreeWord] = []
     seen: set[Permutation] = set()
     for g in G.elements_in_order:
-        g_word = G.word_of(g)
         g_inv = g.inverse()
         for perm, w in comms:
             conj = g * perm * g_inv
@@ -349,6 +348,7 @@ def commutator_subgroup(
                 continue
             seen.add(conj)
             seeds.append(conj)
+            g_word = G.word_of(g)
             seed_words.append(g_word * w * g_word.inv())
     if not seeds:
         seeds, seed_words = [G.identity], [empty_word(G.tag)]

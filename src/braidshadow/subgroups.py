@@ -4,10 +4,11 @@ A subgroup is always stored as the kernel of an explicit homomorphism
 B3 -> (finite permutation group), given by the images of sigma_1 and
 sigma_2, and B3/N is enumerated once, when the subgroup is built.  N <= H
 iff B3/N maps onto B3/H generator by generator, checked on the two
-multiplication tables; N <= PB3 is the same check against S3, and then
-|PB3/N| = |B3/N| / 6, so PB3/N is never enumerated.  The realization is
-non-canonical: the same kernel may appear with different degrees.
-``content_id`` hashes the realization, not the kernel.
+multiplication tables; N <= PB3 is the same check against S3, made once
+when the subgroup is built, and then |PB3/N| = |B3/N| / 6, so PB3/N is
+never enumerated.  The realization is non-canonical: the same kernel may
+appear with different degrees.  ``content_id`` hashes the realization,
+not the kernel.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from .errors import InternalInconsistencyError, KernelNotInPb3Error
+from .errors import KernelNotInPb3Error
 from .perms import (
     DEFAULT_GROUP_SIZE_CAP,
     GeneratedGroup,
@@ -77,7 +78,8 @@ class NfiSubgroup:
     Equality and hashing compare the stored *realization* (degree and
     generator images); use :func:`nfi_equal` for kernel equality.  State
     derived from N (its quotient data and its shadow list) lives on the
-    object and is dropped with it; B3/N itself is enumerated on construction.
+    object and is dropped with it; B3/N itself is enumerated on construction,
+    and KernelNotInPb3Error is raised unless it maps onto S3 = B3/PB3.
     """
 
     def __init__(self, hom: GenHom, label: str, max_group_size: int = DEFAULT_GROUP_SIZE_CAP):
@@ -86,6 +88,10 @@ class NfiSubgroup:
         self.max_group_size = max_group_size
         self.content_id = content_id(hom.images)
         self.b3_quotient = generate_group(hom.images, tag=TAG_B3, max_size=max_group_size)
+        if not self.b3_quotient.maps_onto(_S3):
+            raise KernelNotInPb3Error(
+                f"kernel of {label or 'homomorphism'} is not contained in PB3"
+            )
         self._data: QuotientData | None = None
         self._shadows = None  # GT(N), memoized by shadows.enumerate_shadows
 
@@ -121,12 +127,6 @@ class NfiSubgroup:
 
 
 def _compute_quotient_data(b3_quotient: GeneratedGroup, max_size: int) -> QuotientData:
-    # ker <= PB3 is what makes |PB3/N| = |B3/N| / 6; new_nfi checks it, a
-    # directly built NfiSubgroup may not have.
-    if not b3_quotient.maps_onto(_S3):
-        raise InternalInconsistencyError(
-            "quotient bookkeeping broken: B3/N does not map onto B3/PB3"
-        )
     g1, g2 = b3_quotient.generators
     xbar = g1 * g1
     ybar = g2 * g2
@@ -159,13 +159,15 @@ def new_nfi(
     that is, if B3/N does not map onto S3 by sigma_i -> rho(sigma_i).
     """
     N = NfiSubgroup(GenHom(TAG_B3, tuple(images)), label, max_group_size=max_group_size)
-    if not N.b3_quotient.maps_onto(_S3):
-        raise KernelNotInPb3Error(
-            f"kernel of {label or 'homomorphism'} is not contained in PB3"
-        )
     if not label:
         N.label = f"N-{N.content_id[:8]}"
     return N
+
+
+def object_key(N: NfiSubgroup) -> tuple[int, str]:
+    """The fixed order of subgroups: (|B3/N|, content_id).  |B3/N| is
+    6 |PB3/N|, so this is also the order by (index_pb3, content_id)."""
+    return (N.b3_quotient.order, N.content_id)
 
 
 def pb3_subgroup() -> NfiSubgroup:
@@ -336,9 +338,8 @@ def catalog_search(
     Each remaining candidate is compared with the kept ones by
     :func:`nfi_equal`, whose |B3/N| comparison is the cheap first filter;
     only B3/N is enumerated, no quotient data is built, and only kept
-    candidates stay alive.  Output is sorted by (|B3/N|, content_id), the
-    same order as (index_pb3, content_id), and relabeled cat00, cat01, ...
-    so repeated runs agree byte for byte.
+    candidates stay alive.  Output is sorted by :func:`object_key` and
+    relabeled cat00, cat01, ... so repeated runs agree byte for byte.
     """
     if max_degree < 1 or max_degree > degree_limit:
         raise ValueError(
@@ -359,7 +360,7 @@ def catalog_search(
             if not any(nfi_equal(cand, existing) for existing in kept):
                 kept.append(cand)
 
-    kept.sort(key=lambda s: (s.b3_quotient.order, s.content_id))
+    kept.sort(key=object_key)
     for i, entry in enumerate(kept):
         entry.label = f"cat{i:02d}"
     return kept

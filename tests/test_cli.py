@@ -70,6 +70,9 @@ def test_load_rejects_bad_documents(tmp_path, pb3):
         "floats.json": variant(sigma1=[1.0, 0.0, 2.0]),
         "bools.json": variant(sigma1=[True, False, 2]),
         "repeat.json": variant(sigma1=[1, 1, 2]),
+        "schema-true.json": variant(schema=True),
+        "schema-float.json": variant(schema=1.0),
+        "repeated-key.json": '{"label": "twice", ' + dump_doc(good)[1:],
     }
     for name, doc in cases.items():
         path = write_json(tmp_path, name, doc)
@@ -267,6 +270,17 @@ def test_mainline(files, tmp_path, capsys):
     assert "3 objects" in out
     assert "limit size 6" in out
     assert "cat04: |GT| = 6" in out
+
+
+def test_mainline_level_over_the_cap_is_one_line(files, tmp_path, capsys):
+    code = run_command(
+        ["mainline", files["cat00"], files["cat02"], files["cat04"],
+         "--max-candidates", "11", "--cache-dir", str(tmp_path / "c")]
+    )
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: candidate cap exceeded: 12 candidates > cap 11"]
 
 
 def test_mainline_twin_reports_its_own_label(files, tmp_path, catalog4, capsys):

@@ -2,8 +2,8 @@ import itertools
 
 import pytest
 
-from braidshadow import words
-from braidshadow.errors import NotContainedError
+from braidshadow import subgroups, words
+from braidshadow.errors import CandidateCapExceeded, NotContainedError
 from braidshadow.groupoid import (
     connected_component,
     diamond,
@@ -22,7 +22,7 @@ from braidshadow.shadows import (
     invert_shadow,
     shadow_source,
 )
-from braidshadow.subgroups import nfi_contains, nfi_equal
+from braidshadow.subgroups import new_nfi, nfi_contains, nfi_equal
 from braidshadow.words import TAG_F2, X, Y, bullet_monoid, empty_word
 
 EMPTY = empty_word(TAG_F2)
@@ -77,6 +77,22 @@ def test_first_non_isolated_component(cat09, cat10):
     assert sorted(report.morphisms) == [(0, 0), (0, 1), (1, 0), (1, 1)]
     assert all(len(v) == 6 for v in report.morphisms.values())
     assert not is_isolated(cat09)
+
+
+def test_component_builds_quotient_data_only_for_new_objects(monkeypatch, cat09):
+    # a fresh realization, so that no quotient data is built before the count
+    fresh = new_nfi(cat09.hom.images, label="fresh09")
+    built = []
+    compute = subgroups._compute_quotient_data
+
+    def counting(*args):
+        built.append(args)
+        return compute(*args)
+
+    monkeypatch.setattr(subgroups, "_compute_quotient_data", counting)
+    report = connected_component(fresh)
+    assert len(report.objects) == 2
+    assert len(built) == 2  # one per object, none per source compared
 
 
 def test_diamond_of_a_two_object_component(cat09, cat10):
@@ -313,6 +329,17 @@ def test_main_line_input_order_is_irrelevant(pb3, catalog4):
     b = main_line_limit([catalog4[4], pb3, catalog4[2]])
     assert [n.label for n in a[0].poset_objects] == [n.label for n in b[0].poset_objects]
     assert a[1] == b[1]
+
+
+def test_main_line_level_over_the_cap_is_refused(pb3, catalog4):
+    chain = [pb3, catalog4[2], catalog4[4]]
+    with pytest.raises(CandidateCapExceeded) as exc:
+        main_line_limit(chain, max_candidates=11)
+    # cat04's level: two kept prefixes times its six shadows
+    assert (exc.value.count, exc.value.cap) == (12, 11)
+    _, limit = main_line_limit(chain, max_candidates=12)
+    assert limit == main_line_limit(chain)[1]
+    assert len(limit) == 6
 
 
 def test_main_line_limit_is_a_group(pb3, catalog4):

@@ -11,7 +11,6 @@ from braidshadow import perms, subgroups
 from braidshadow.errors import (
     BraidRelationError,
     GroupSizeCapExceeded,
-    InternalInconsistencyError,
     KernelNotInPb3Error,
 )
 from braidshadow.perms import (
@@ -457,9 +456,8 @@ def test_b3_quotient_order_against_saturation_oracle(catalog4):
 
 
 def test_internal_consistency_guard_is_wired():
-    # NfiSubgroup built directly (no new_nfi validation) with a kernel that
-    # leaks outside PB3 trips the bookkeeping check
+    # an NfiSubgroup built directly (not through new_nfi) with a kernel that
+    # leaks outside PB3 is refused by the constructor itself
     swap = Permutation((1, 0))
-    bad = NfiSubgroup(GenHom("B3", (swap, swap)), label="bad")
-    with pytest.raises(InternalInconsistencyError):
-        bad.data
+    with pytest.raises(KernelNotInPb3Error):
+        NfiSubgroup(GenHom("B3", (swap, swap)), label="bad")
