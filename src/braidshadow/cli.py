@@ -74,6 +74,8 @@ def load_subgroup(path: str, max_group_size: int = DEFAULT_GROUP_SIZE_CAP) -> Nf
             doc = json.load(fh, object_pairs_hook=unique_keys)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path}: expected a JSON object")
     if type(doc.get("schema")) is not int or doc["schema"] != 1:

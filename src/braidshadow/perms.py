@@ -3,15 +3,18 @@
 Desk-scale philosophy: every group that shows up (quotients B3/N and
 F2/N_F2, and the latter's commutator subgroup) is small enough to enumerate
 outright, so there are no stabilizer chains, just one breadth-first closure.
-It records a Schreier tree and the right-multiplication table; a group
-spells words only on demand.  Every map out of an enumerated group is
+It records a Schreier tree and, unless the group's order is given in
+advance, the right-multiplication table; a group spells words only on
+demand.  Every map out of an enumerated group is
 :meth:`GeneratedGroup.hom_into`: generator images spelled down the tree and
 checked on the table, integers only.  It decides whether generator images
-define an automorphism, whether a group maps onto another generator by
-generator (for two quotients of B3: whether one kernel lies in the other),
-and tabulates such maps.  Whether given elements generate a group is a BFS
-on the same table.  The paired-image closure of :func:`kernel_contained`
-is kept as the tests' reference for kernel questions.
+define a homomorphism (and, by counting its values, an automorphism),
+whether a group maps onto another generator by generator (for two quotients
+of B3: whether one kernel lies in the other), and tabulates such maps.
+Whether given elements generate a group is a BFS on the same table, and the
+commutator subgroup's seeds and order are read off it too.  The
+paired-image closure of :func:`kernel_contained` is kept as the tests'
+reference for kernel questions.
 
 Composition convention (used everywhere, including word evaluation): the
 product ``p * q`` means "apply p first, then q".
@@ -29,6 +32,7 @@ from .errors import (
     DegreeMismatchError,
     DomainTagMismatchError,
     GroupSizeCapExceeded,
+    InternalInconsistencyError,
 )
 from .words import FreeWord, empty_word
 
@@ -125,8 +129,10 @@ class GeneratedGroup:
     ``right[g][i]`` is the index of ``elements_in_order[i] * generators[g]``:
     the group's right-multiplication table.  :meth:`_walk` is the one index
     pass down the tree, and :meth:`hom_into`, built on it, the one map
-    primitive: :meth:`is_automorphism`, :meth:`maps_onto` and every map the
-    other modules read off a quotient go through it.
+    primitive: :meth:`maps_onto` and every map the other modules read off a
+    quotient go through it.  A group enumerated to a known order (a
+    commutator subgroup) has ``right = None``; every table method raises
+    ValueError on it.
     """
 
     def __init__(
@@ -137,7 +143,7 @@ class GeneratedGroup:
         index: dict[Permutation, int],
         parent: list[int],
         via: list[int],
-        right: list[list[int]],
+        right: list[list[int]] | None,
         seed_words: Sequence[FreeWord],
         word_basis: Sequence[Permutation] | None = None,
     ):
@@ -179,11 +185,21 @@ class GeneratedGroup:
     def evaluate(self, w: FreeWord) -> Permutation:
         return evaluate_word(w, self.word_basis)
 
+    def _table(self) -> list[list[int]]:
+        """``self.right``, or ValueError for a group enumerated without it."""
+        if self.right is None:
+            raise ValueError(
+                f"{self.tag} group of order {self.order} was enumerated without "
+                "a multiplication table"
+            )
+        return self.right
+
     def _walk(self, tables: Sequence[Sequence[int]], start: int = 0) -> list[int]:
         """Indices spelled down the Schreier tree: a[0] = start and
         a[j] = tables[via[j]][a[parent[j]]].  Element j is its parent times
         generator ``via[j]``, so with ``self.right`` as the tables this is
         left multiplication by element ``start``."""
+        self._table()
         parent, via = self._parent, self._via
         a = [start]
         for j in range(1, self.order):
@@ -198,7 +214,8 @@ class GeneratedGroup:
         the left tables of the generator inverses.
         """
         if self._inverse is None:
-            left = [self._walk(self.right, self._index[g.inverse()]) for g in self.generators]
+            right = self._table()
+            left = [self._walk(right, self._index[g.inverse()]) for g in self.generators]
             self._inverse = self._walk(left)
         return self._inverse
 
@@ -209,7 +226,7 @@ class GeneratedGroup:
         table, so no product is formed.
         """
         inv = self._inverse_table()
-        left = self._walk(self.right, inv[self._index[p]])
+        left = self._walk(self._table(), inv[self._index[p]])
         return [inv[left[k]] for k in inv]
 
     def hom_into(
@@ -231,25 +248,16 @@ class GeneratedGroup:
         if count != n:
             raise ValueError(f"need {n} generator images, got {count}")
         if images is None:
-            tables = other.right
+            tables = other._table()
         elif any(p not in other for p in images):
             return None
         else:
             tables = [other._right_table(p) for p in images]
         a = self._walk(tables)
-        for table, t in zip(self.right, tables):
+        for table, t in zip(self._table(), tables):
             if any(a[j] != t[a[i]] for i, j in enumerate(table)):
                 return None
         return a
-
-    def is_automorphism(self, images: Sequence[Permutation]) -> bool:
-        """Does generator i -> images[i] extend to an injective endomorphism?
-
-        :meth:`hom_into` the group itself, injective iff the map takes
-        ``order`` distinct values.  An image outside the group gives False.
-        """
-        a = self.hom_into(self, images)
-        return a is not None and len(set(a)) == self.order
 
     def maps_onto(self, other: "GeneratedGroup") -> bool:
         """Does generator i -> other.generators[i] extend to a homomorphism?
@@ -275,6 +283,7 @@ def generate_group(
     max_size: int = DEFAULT_GROUP_SIZE_CAP,
     word_basis: Sequence[Permutation] | None = None,
     seed_words: Sequence[FreeWord] | None = None,
+    order: int | None = None,
 ) -> GeneratedGroup:
     """Breadth-first closure of the generators, recording a Schreier tree
     and the right-multiplication table (every product is looked up anyway).
@@ -282,6 +291,12 @@ def generate_group(
     Positive products suffice to close a finite group, so words use positive
     letters only (unless explicit ``seed_words`` carry inverses).  The BFS
     order makes the element list and the words reproducible across runs.
+
+    Given ``order`` (which must be |<gens>|), the BFS stops at its last new
+    element and records no table: the same elements, tree and words, without
+    the products that would only fill the table.  ``max_size`` trips at the
+    same size either way, and a closure that ends short of ``order`` raises
+    InternalInconsistencyError.
     """
     gens = list(gens)
     if not gens:
@@ -295,9 +310,9 @@ def generate_group(
     index = {identity: 0}
     elements = [identity]
     parent, via = [0], [0]
-    right: list[list[int]] = [[] for _ in gens]
+    right: list[list[int]] | None = [[] for _ in gens] if order is None else None
     cursor = 0
-    while cursor < len(elements):
+    while cursor < len(elements) and len(elements) != order:
         current = elements[cursor]
         for g, gen in enumerate(gens):
             product = current * gen
@@ -309,8 +324,13 @@ def generate_group(
                 via.append(g)
                 if len(elements) > max_size:
                     raise GroupSizeCapExceeded(max_size, len(elements))
-            right[g].append(j)
+            if right is not None:
+                right[g].append(j)
         cursor += 1
+    if order is not None and len(elements) != order:
+        raise InternalInconsistencyError(
+            f"closure has {len(elements)} elements, not the given order {order}"
+        )
     return GeneratedGroup(
         gens, tag, elements, index, parent, via, right, seed_words, word_basis
     )
@@ -321,35 +341,97 @@ def closure_order(gens: Sequence[Permutation], max_size: int = DEFAULT_GROUP_SIZ
     return generate_group(gens, max_size=max_size).order
 
 
+def _abelianization_order(G: GeneratedGroup) -> int:
+    """|G^ab|, as the index in Z^n of the lattice of G's relations.
+
+    G is F_n modulo the Schreier relations e_i a_g = e_(right[g][i]), so
+    G^ab is Z^n modulo their exponent vectors v_i + u_g - v_(right[g][i]),
+    v_i being the exponent vector of e_i's tree word.  The lattice is kept
+    in echelon form, one row per pivot column, and its index is the product
+    of the pivots.
+    """
+    n = len(G.generators)
+    vec = [(0,) * n]
+    for j in range(1, G.order):
+        v = list(vec[G._parent[j]])
+        v[G._via[j]] += 1
+        vec.append(tuple(v))
+    rows: list[list[int] | None] = [None] * n
+    for g, table in enumerate(G._table()):
+        for i, j in enumerate(table):
+            v = [a - b for a, b in zip(vec[i], vec[j])]
+            v[g] += 1
+            for col in range(n):
+                if v[col] == 0:
+                    continue
+                row = rows[col]
+                if row is None:
+                    rows[col] = v if v[col] > 0 else [-a for a in v]
+                    break
+                # replace row by the combination with gcd pivot, and clear v's entry
+                d, s, t = _xgcd(row[col], v[col])
+                p, q = row[col] // d, v[col] // d
+                rows[col] = [s * a + t * b for a, b in zip(row, v)]
+                v = [p * b - q * a for a, b in zip(row, v)]
+    return math.prod(row[col] for col, row in enumerate(rows))
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(d, s, t) with d = gcd(a, b) = s a + t b."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
+    if a < 0:
+        return -a, -s0, -t0
+    return a, s0, t0
+
+
 def commutator_subgroup(
     G: GeneratedGroup, max_size: int = DEFAULT_GROUP_SIZE_CAP
 ) -> GeneratedGroup:
     """[G,G] as the normal closure of the generator commutators.
 
-    Seed elements are g [a_i, a_j]^(+-1) g^-1 for g over all of G, so every
-    word representative is a literal product of conjugated commutators; in
+    Seed elements are g [a_i, a_j]^(+-1) g^-1 for g over all of G, in G's
+    BFS order, each kept at its first occurrence, so every word
+    representative is a literal product of conjugated commutators; in
     particular all exponent sums vanish, which is what "lies in [F2,F2]"
     means when G is a two-generator quotient of F2.
+
+    The seeds are read off G's tables, with no product: for a commutator c,
+    D[j] = index of e_j^-1 c e_j is a walk over the tables of conjugation
+    by each generator s (s^-1 e s: a left table, then s's row of ``right``),
+    and g c g^-1 is D at the index of g^-1.  The closure is then
+    :func:`generate_group` with the known order |G| / |G^ab|, so it stops at
+    its last new element and records no table.
     """
+    right = G._table()
+    inv = G._inverse_table()
+    elements = G.elements_in_order
+    conj = [
+        [row[k] for k in G._walk(right, G.index_of(s.inverse()))]
+        for row, s in zip(right, G.generators)
+    ]
     letters = [(a, FreeWord(G.tag, ((i, 1),))) for i, a in enumerate(G.generators)]
-    comms: list[tuple[Permutation, FreeWord]] = []
+    comms: list[tuple[list[int], FreeWord, FreeWord]] = []
     for (a, aw), (b, bw) in itertools.combinations(letters, 2):
-        comm = a * b * a.inverse() * b.inverse()
         comm_word = aw * bw * aw.inv() * bw.inv()
-        comms += [(comm, comm_word), (comm.inverse(), comm_word.inv())]
+        start = G.index_of(a * b * a.inverse() * b.inverse())
+        comms.append((G._walk(conj, start), comm_word, comm_word.inv()))
     seeds: list[Permutation] = []
     seed_words: list[FreeWord] = []
-    seen: set[Permutation] = set()
-    for g in G.elements_in_order:
-        g_inv = g.inverse()
-        for perm, w in comms:
-            conj = g * perm * g_inv
-            if conj.is_identity() or conj in seen:
-                continue
-            seen.add(conj)
-            seeds.append(conj)
-            g_word = G.word_of(g)
-            seed_words.append(g_word * w * g_word.inv())
+    seen = {0}  # the identity is never a seed
+    for i, g in enumerate(elements):
+        for D, w, w_inv in comms:
+            c = D[inv[i]]  # g c g^-1, then its inverse
+            for j, cw in ((c, w), (inv[c], w_inv)):
+                if j in seen:
+                    continue
+                seen.add(j)
+                seeds.append(elements[j])
+                g_word = G.word_of(g)
+                seed_words.append(g_word * cw * g_word.inv())
     if not seeds:
         seeds, seed_words = [G.identity], [empty_word(G.tag)]
     return generate_group(
@@ -358,6 +440,7 @@ def commutator_subgroup(
         max_size=max_size,
         word_basis=G.word_basis,
         seed_words=seed_words,
+        order=G.order // _abelianization_order(G),
     )
 
 

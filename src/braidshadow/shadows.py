@@ -9,7 +9,8 @@ relations hold mod N and the induced endomorphism
 maps B3 onto B3/N.  The kernel of T is the shadow's source; composition and
 inversion below make the collection of all shadows a groupoid over the poset
 of targets.  Both apply one map to elements: E_{m,f} on F2 cosets,
-tabulated by ``hom_into`` (:func:`_e_table`).  No word is substituted; a
+tabulated by ``hom_into`` (:func:`_e_map`), and the same map decides
+whether a shadow is settled (:func:`_is_settled`).  No word is substituted; a
 result's word is the one its quotient's ``f2_commutator`` spells.
 """
 
@@ -208,17 +209,36 @@ def shadow_source(s: GtShadow) -> NfiSubgroup:
 
     A settled shadow (kernel equal to its target) gets the target object
     itself, so every morphism on one object lives in one realization and
-    inverses stay comparable to the originals.  Settledness is decided on
-    B3/N's multiplication table: T = phi o (B3 -> B3/N) for some map phi
-    of B3/N exactly when N <= ker T, and then ker T = N exactly when phi
-    is injective, which is what ``is_automorphism`` tests.  Only an
-    unsettled kernel is built and checked as a new subgroup; a settled one
-    is N, and N <= PB3.
+    inverses stay comparable to the originals.  Only an unsettled kernel
+    is built and checked as a new subgroup; a settled one is N, and
+    N <= PB3.
+
+    Settledness is decided on F2/N_F2, which is 6r times smaller than B3/N
+    (:func:`_is_settled`).  With k = 2m+1, E = E_{m,f}: x -> x^k,
+    y -> F^-1 y^k F (F: f's image), and r = ``c_period``, the least r >= 1
+    with c^r in F2/N_F2, the shadow is settled iff
+
+    1. E is a well-defined, injective endomorphism of F2/N_F2;
+    2. E(c^r) = c^(kr);
+    3. gcd(k, r) = 1.
+
+    Proof sketch.  T followed by B3/N -> S3 is rho, so ker T <= PB3 =
+    F2 x <c>, and on PB3, T is w c^e -> E(w) c^(ke), since :func:`t_hom`
+    asserts T(c) = c^k.  N is N_F2 together with w0^-1 c^r, w0 in F2 being
+    any word for c^r, so N <= ker T iff E kills N_F2 and E(w0) = c^(kr):
+    conditions 1 (well defined) and 2.  Then ker T = N iff the induced map
+    of PB3/N, of order r |F2/N_F2|, is injective.  That map is injective on
+    F2/N_F2 iff E is.  If gcd(k, r) = d > 1 and E is injective, E is onto
+    the finite F2/N_F2, so it hits c^(-kr/d), and that preimage times
+    c^(r/d) is a nontrivial kernel element.  If gcd(k, r) = 1, w c^e in
+    the kernel forces c^(ke) into F2/N_F2, so r | e, and w c^e lies in
+    F2/N_F2, where E is injective.  So the test is exact for a non-unit k
+    and a non-surjective T too.
     """
     if s._source is None:
         hom = t_hom(s)
         cap = s.target.max_group_size
-        if s.target.data.b3_quotient.is_automorphism(hom.images):
+        if _is_settled(s):
             s._source = s.target
         else:
             f_text = word_to_text(s.f_word) or "1"
@@ -228,6 +248,21 @@ def shadow_source(s: GtShadow) -> NfiSubgroup:
                 hom.images, label=f"{s.target.label}<-({s.m},{f_text})", max_group_size=cap
             )
     return s._source
+
+
+def _is_settled(s: GtShadow) -> bool:
+    """ker T = N, by the three conditions of :func:`shadow_source`, the
+    cheapest (gcd(k, r) = 1) first.  T(c) = c^k is :func:`t_hom`'s check."""
+    d = s.target.data
+    k = 2 * s.m + 1
+    if math.gcd(k, d.c_period) != 1:
+        return False
+    q = d.f2_quotient
+    a = _e_map(s, s.target)
+    if a is None or len(set(a)) != q.order:
+        return False
+    cr = d.c_period_image
+    return a[q.index_of(cr)] == q.index_of(cr**k)
 
 
 def _theta_hexagon(N: NfiSubgroup, big_f: Permutation) -> bool:
@@ -305,17 +340,23 @@ def enumerate_shadows(
     return list(N._shadows)
 
 
-def _e_table(s: GtShadow, source: NfiSubgroup) -> list[int]:
-    """E_{m,f}: x -> x^(2m+1), y -> F^-1 y^(2m+1) F (F: f's image), as a
-    bijection from ``source``'s F2/K_F2 onto F2/N_F2, on indices; ``source``
-    is any realization of K = source(s).  Tabulated and checked by
-    ``hom_into``; :func:`~braidshadow.words.e_endo` is the word reference.
+def _e_map(s: GtShadow, source: NfiSubgroup) -> list[int] | None:
+    """E_{m,f}: x -> x^(2m+1), y -> F^-1 y^(2m+1) F (F: f's image), from
+    ``source``'s F2/K_F2 into F2/N_F2, on indices, or None if it is not
+    well defined.  Tabulated and checked by ``hom_into``;
+    :func:`~braidshadow.words.e_endo` is the word reference.
     """
     d = s.target.data
     k = 2 * s.m + 1
-    quotient = d.f2_quotient
     ey = s.f_elt.inverse() * d.y_image**k * s.f_elt
-    a = source.data.f2_quotient.hom_into(quotient, (d.x_image**k, ey))
+    return source.data.f2_quotient.hom_into(d.f2_quotient, (d.x_image**k, ey))
+
+
+def _e_table(s: GtShadow, source: NfiSubgroup) -> list[int]:
+    """:func:`_e_map` as a bijection from ``source``'s F2/K_F2 onto F2/N_F2;
+    ``source`` is any realization of K = source(s)."""
+    quotient = s.target.data.f2_quotient
+    a = _e_map(s, source)
     if a is None or len(a) != quotient.order or len(set(a)) != quotient.order:
         raise InternalInconsistencyError(
             f"induced map on F2 cosets is not a bijection for {s!r}"

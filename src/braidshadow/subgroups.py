@@ -57,7 +57,10 @@ class QuotientData:
     y = sigma_2^2 with words over {x, y}; ``f2_commutator`` is its commutator
     subgroup with words that are literal products of conjugated commutators
     (still over {x, y}).  PB3/N is not enumerated: B3/N maps onto
-    S3 = B3/PB3, so ``index_pb3`` = |PB3/N| = |B3/N| / 6.
+    S3 = B3/PB3, so ``index_pb3`` = |PB3/N| = |B3/N| / 6.  PB3 = F2 x <c>,
+    so PB3/N is F2/N_F2 times the powers of c, and ``c_period`` =
+    ``index_pb3`` / ``index_f2`` is the least r >= 1 with c^r in F2/N_F2;
+    ``c_period_image`` is that c^r.
     """
 
     b3_quotient: GeneratedGroup
@@ -70,6 +73,8 @@ class QuotientData:
     y_image: Permutation
     c_image: Permutation
     delta_image: Permutation
+    c_period: int
+    c_period_image: Permutation
 
 
 class NfiSubgroup:
@@ -133,17 +138,21 @@ def _compute_quotient_data(b3_quotient: GeneratedGroup, max_size: int) -> Quotie
     delta = g1 * g2 * g1
     cbar = delta * delta
     f2_quotient = generate_group([xbar, ybar], tag=TAG_F2, max_size=max_size)
+    index_pb3 = b3_quotient.order // 6
+    r = index_pb3 // f2_quotient.order
     return QuotientData(
         b3_quotient=b3_quotient,
         f2_quotient=f2_quotient,
         f2_commutator=commutator_subgroup(f2_quotient, max_size=max_size),
         n_ord=math.lcm(xbar.order(), ybar.order(), cbar.order()),
-        index_pb3=b3_quotient.order // 6,
+        index_pb3=index_pb3,
         index_f2=f2_quotient.order,
         x_image=xbar,
         y_image=ybar,
         c_image=cbar,
         delta_image=delta,
+        c_period=r,
+        c_period_image=cbar**r,
     )
 
 

@@ -13,6 +13,11 @@ def catalog4():
     return bs.catalog_search(4)
 
 
+@pytest.fixture(scope="session")
+def catalog7():
+    return bs.catalog_search(7, degree_limit=7)
+
+
 # The first non-isolated component: entries 9 and 10 of catalog_search(7,
 # degree_limit=7), frozen here so that the tests using them need not run
 # the degree-7 search; test_catalog_degree_seven_is_frozen checks them.

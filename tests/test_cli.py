@@ -136,6 +136,15 @@ def test_deeply_nested_subgroup_file_exits_two(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_malformed_json_names_its_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"schema": 1,', encoding="utf-8")
+    assert run_command(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: invalid JSON: ") and err.count("\n") == 1
+    assert "line 1 column 14" in err
+
+
 def test_exit_code_two_on_usage_errors(capsys):
     assert run_command([]) == 2
     assert run_command(["no-such-command"]) == 2

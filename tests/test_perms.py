@@ -9,9 +9,11 @@ from braidshadow.errors import (
     DegreeMismatchError,
     DomainTagMismatchError,
     GroupSizeCapExceeded,
+    InternalInconsistencyError,
 )
 from braidshadow.perms import (
     GeneratedGroup,
+    _abelianization_order,
     GenHom,
     Permutation,
     block_sum,
@@ -374,15 +376,24 @@ def test_right_multiplication_table(gens):
             assert G.right[g][i] == G.index_of(p * gen)
 
 
+def extends_to_automorphism(G, images):
+    # gen_i -> images[i] through hom_into: a None result means no
+    # homomorphism; a table with fewer than |G| values, not injective
+    a = G.hom_into(G, images)
+    return a is not None and len(set(a)) == G.order
+
+
 @hypothesis.given(strat.lists(perms6, min_size=1, max_size=3), strat.integers(min_value=0))
 @hypothesis.settings(max_examples=40, deadline=None)
 def test_identity_and_inner_maps_are_automorphisms(gens, pick):
     G = generate_group(gens)
-    assert G.is_automorphism(G.generators)
+    assert extends_to_automorphism(G, G.generators)
     h = G.elements_in_order[pick % G.order]
-    assert G.is_automorphism([h.inverse() * g * h for g in G.generators])
+    assert extends_to_automorphism(G, [h.inverse() * g * h for g in G.generators])
     # the trivial map is well defined, and injective only on a trivial group
-    assert G.is_automorphism([G.identity] * len(gens)) == (G.order == 1)
+    trivial = G.hom_into(G, [G.identity] * len(gens))
+    assert trivial == [0] * G.order
+    assert extends_to_automorphism(G, [G.identity] * len(gens)) == (G.order == 1)
 
 
 @hypothesis.given(
@@ -396,25 +407,72 @@ def test_is_automorphism_against_paired_closure(gens, picks):
     G = generate_group(gens)
     images = [G.elements_in_order[k % G.order] for k in picks[: len(gens)]]
     paired = [block_sum(g, t) for g, t in zip(G.generators, images)]
-    expected = closure_order(paired) == G.order == closure_order(images)
-    assert G.is_automorphism(images) == expected
+    well_defined = closure_order(paired) == G.order
+    assert (G.hom_into(G, images) is not None) == well_defined
+    onto = closure_order(images) == G.order
+    assert extends_to_automorphism(G, images) == (well_defined and onto)
 
 
 def test_swapped_images_breaking_a_relation():
     G = generate_group([T01, C3])  # S3; T01 has order 2, C3 order 3
-    assert G.is_automorphism([T01, C3])
-    assert not G.is_automorphism([C3, T01])
+    assert extends_to_automorphism(G, [T01, C3])
+    assert G.hom_into(G, [C3, T01]) is None
     # the braid generators of S3 swap by conjugation with (0 2)
     H = generate_group([T01, T12])
-    assert H.is_automorphism([T12, T01])
+    assert extends_to_automorphism(H, [T12, T01])
 
 
 def test_is_automorphism_rejects_images_outside_the_group():
     G = generate_group([C3])
-    assert not G.is_automorphism([T01])
-    assert not G.is_automorphism([Permutation((1, 2, 3, 0))])
+    assert G.hom_into(G, [T01]) is None
+    assert G.hom_into(G, [Permutation((1, 2, 3, 0))]) is None
     with pytest.raises(ValueError):
-        G.is_automorphism([C3, C3])
+        G.hom_into(G, [C3, C3])
+
+
+def test_a_group_without_a_table_fails_loudly():
+    # a commutator subgroup is enumerated to its known order, with no table
+    G = generate_group([T01, T12], tag=TAG_F2)
+    D = commutator_subgroup(G)
+    assert D.right is None
+    for call in (
+        lambda: D._walk([[0]]),
+        lambda: D._right_table(C3),
+        lambda: D._inverse_table(),
+        lambda: D.hom_into(G, [C3] * len(D.generators)),
+        lambda: G.hom_into(D, [C3, C3]),
+        lambda: generate_group(D.generators).hom_into(D),
+        lambda: is_generating_set(D, [C3]),
+        lambda: commutator_subgroup(D),
+    ):
+        with pytest.raises(ValueError, match="without a multiplication table"):
+            call()
+
+
+def test_known_order_stops_the_same_bfs():
+    gens = [Permutation((1, 2, 3, 4, 0)), Permutation((1, 0, 2, 3, 4))]
+    full = generate_group(gens)
+    short = generate_group(gens, order=full.order)
+    assert short.right is None
+    assert short.elements_in_order == full.elements_in_order
+    assert (short._parent, short._via) == (full._parent, full._via)
+    with pytest.raises(GroupSizeCapExceeded):
+        generate_group(gens, max_size=full.order - 1, order=full.order)
+    with pytest.raises(InternalInconsistencyError):
+        generate_group(gens, order=full.order + 1)
+
+
+@pytest.mark.parametrize("gens", [
+    [T01, T12],
+    [C3],
+    [Permutation((1, 0, 2, 3)), Permutation((1, 2, 3, 0))],
+    [Permutation((1, 0, 2, 3)), Permutation((0, 1, 3, 2)), Permutation((2, 3, 0, 1))],
+    [Permutation((1, 2, 0, 3, 4, 5)), Permutation((0, 1, 2, 4, 5, 3))],
+    [Permutation((1, 2, 3, 4, 0)), Permutation((1, 0, 2, 3, 4))],
+], ids=["S3", "C3", "S4", "C2-wreath-C2", "C3xC3", "S5"])
+def test_abelianization_order_against_brute_force(gens):
+    G = generate_group(gens)
+    assert _abelianization_order(G) * brute_commutator_order(G) == G.order
 
 
 perms4 = strat.permutations(range(4)).map(lambda xs: Permutation(tuple(xs)))

@@ -21,6 +21,7 @@ from braidshadow.perms import (
 from braidshadow.shadows import (
     GtShadow,
     _hexagon_points,
+    _is_settled,
     _t_f2_onto,
     _theta_hexagon,
     check_hexagons,
@@ -40,15 +41,18 @@ from braidshadow.subgroups import (
     new_nfi,
     nfi_contains,
     nfi_equal,
+    nfi_intersect,
     rho,
 )
 from braidshadow.words import (
+    COSET_TABLE,
     C_WORD,
     DELTA,
     SIGMA1,
     SIGMA2,
     TAG_B3,
     TAG_F2,
+    TRANSVERSAL_LABELS,
     X,
     Y,
     bullet_monoid,
@@ -395,10 +399,73 @@ def test_settledness_matches_the_paired_closure(pb3, catalog4, cat09, cat10):
                     hom = GenHom(TAG_B3, images)
                 except BraidRelationError:
                     continue
-                settled = d.b3_quotient.is_automorphism(images)
+                table = d.b3_quotient.hom_into(d.b3_quotient, images)
+                settled = table is not None and len(set(table)) == d.b3_quotient.order
                 assert settled == kernels_equal(hom, N.hom)
                 seen[settled] += 1
     assert seen[True] > 0 and seen[False] > 0
+
+
+def b3_table_settled(s):
+    # ker T = N iff B3/N -> B3/N, sigma_i -> T(sigma_i), is well defined
+    # (N <= ker T) and injective
+    b3 = s.target.data.b3_quotient
+    table = b3.hom_into(b3, t_hom(s).images)
+    return table is not None and len(set(table)) == b3.order
+
+
+def test_settled_criterion_matches_the_b3_tables_at_degree_seven(catalog7):
+    # the F2/N_F2 criterion against B3/N's own table, on every shadow
+    counts = {True: 0, False: 0}
+    for N in catalog7:
+        for s in enumerate_shadows(N):
+            settled = b3_table_settled(s)
+            assert _is_settled(s) == settled
+            assert (shadow_source(s) is N) == settled
+            counts[settled] += 1
+    assert counts == {True: 193, False: 12}
+
+
+def c_shift_subgroup(r):
+    # B3 acting on (j mod r, coset of PB3) by the coset table's c deltas:
+    # c generates PB3 modulo F2 and the kernel, with c_period r
+    labels = {lab: n for n, lab in enumerate(TRANSVERSAL_LABELS)}
+    gens = []
+    for i in range(2):
+        images = [0] * (r * len(labels))
+        for lab, n in labels.items():
+            _f2, dc, new = COSET_TABLE[lab, (i, 1)]
+            for j in range(r):
+                images[j * len(labels) + n] = (j + dc) % r * len(labels) + labels[new]
+        gens.append(Permutation(tuple(images)))
+    return new_nfi(tuple(gens), label=f"c-shift-{r}")
+
+
+def test_settled_criterion_on_the_grid(pb3, catalog4, cat09):
+    # every m, unit or not, and every F in F2/N_F2, commutator or not, whose
+    # T images satisfy the braid relation and send c to c^k: the criterion
+    # against kernel equality by paired closure, with c_period 1 and 3
+    shift3 = c_shift_subgroup(3)
+    assert shift3.data.c_period == 3
+    seen = set()
+    for N in [pb3, *catalog4, cat09, shift3, nfi_intersect([shift3, catalog4[2]])]:
+        d = N.data
+        g1, g2 = N.hom.images
+        for m in range(d.n_ord):
+            k = 2 * m + 1
+            for F in d.f2_quotient.elements_in_order:
+                images = (g1**k, F.inverse() * g2**k * F)
+                try:
+                    hom = GenHom(TAG_B3, images)
+                except BraidRelationError:
+                    continue
+                delta = images[0] * images[1] * images[0]
+                if delta * delta != d.c_image**k:
+                    continue
+                settled = kernels_equal(hom, N.hom)
+                assert _is_settled(GtShadow(N, m, EMPTY, F)) == settled
+                seen.add((settled, math.gcd(k, d.n_ord) == 1, d.c_period))
+    assert {(False, False, 3), (False, True, 1), (True, True, 3)} <= seen
 
 
 def test_source_invariants(catalog4):

@@ -366,6 +366,38 @@ def test_catalog_degree_seven_is_frozen(cat09, cat10):
     assert cat7[10].hom.images == cat10.hom.images
 
 
+def test_commutator_closure_is_frozen(catalog7, cat09, cat10):
+    # elements, Schreier tree and words of every degree-7 commutator
+    # subgroup, hashed as the full closure with its table spelled them
+    digest = hashlib.sha256()
+    for N in [*catalog7, cat09, cat10]:
+        D = N.data.f2_commutator
+        for i, g in enumerate(D.elements_in_order):
+            row = (g.images, D._parent[i], D._via[i], word_to_text(D.word_of(g)))
+            digest.update(repr(row).encode())
+    assert digest.hexdigest() == (
+        "142d90def0855a6f8f082266c7aba7cfc218c00d75d6ded71d440a96ff7a6ce4"
+    )
+
+
+def test_commutator_closure_trips_the_cap_at_its_order(catalog7):
+    cat13 = catalog7[13]
+    q = cat13.data.f2_quotient
+    assert perms.commutator_subgroup(q, max_size=2520).order == 2520
+    with pytest.raises(GroupSizeCapExceeded) as exc:
+        perms.commutator_subgroup(q, max_size=2519)
+    assert (exc.value.cap, exc.value.partial_count) == (2519, 2520)
+
+
+def test_c_period_is_the_least_power_of_c_in_f2(pb3, catalog4, cat09):
+    for N in [pb3, *catalog4, cat09, nfi_intersect(catalog_search(5)[1:4:2])]:
+        d = N.data
+        powers = [e for e in range(1, d.n_ord + 1) if d.c_image**e in d.f2_quotient]
+        assert d.c_period == powers[0]
+        assert d.c_period_image == d.c_image**d.c_period
+    assert d.c_period == 2
+
+
 def test_kernel_containment_is_capped_by_the_first_image():
     # ker(rho) = PB3 is not inside ker(cat06): the paired closure passes
     # |im rho| = 6 and stops, long before cat06's 360-element image would
