@@ -18,6 +18,12 @@ reference for kernel questions.
 
 Composition convention (used everywhere, including word evaluation): the
 product ``p * q`` means "apply p first, then q".
+
+Only the public constructor ``Permutation(images)`` checks that the images
+form a bijection; that is where outside data comes in.  Products, inverses
+and powers are built unchecked, since a product of bijections is a
+bijection, and the closure works on bare image tuples, wrapping each
+element once.
 """
 
 from __future__ import annotations
@@ -41,7 +47,14 @@ DEFAULT_GROUP_SIZE_CAP = 100_000
 
 @dataclass(frozen=True)
 class Permutation:
-    """A bijection of {0..n-1}, stored as the tuple of images."""
+    """A bijection of {0..n-1}, stored as the tuple of images.
+
+    Only the public constructor validates: it is where outside data (a
+    file, a fixture, a test) comes in.  Products, inverses and powers are
+    built with :meth:`_trusted`, unchecked, because a product of
+    bijections is a bijection.  Equality and hashing are those of
+    ``images``.
+    """
 
     images: tuple[int, ...]
 
@@ -50,27 +63,35 @@ class Permutation:
         if sorted(self.images) != list(range(len(self.images))):
             raise ValueError(f"not a bijection of 0..{len(self.images) - 1}: {self.images}")
 
+    @classmethod
+    def _trusted(cls, images: tuple[int, ...]) -> "Permutation":
+        """Wrap an image tuple already known to be a bijection, unchecked."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        return p
+
+    def __hash__(self):
+        return hash(self.images)
+
     @property
     def degree(self) -> int:
         return len(self.images)
 
     @staticmethod
     def identity(degree: int) -> "Permutation":
-        return Permutation(tuple(range(degree)))
+        return Permutation._trusted(tuple(range(degree)))
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        if self.degree != other.degree:
-            raise DegreeMismatchError(
-                f"degree mismatch: {self.degree} vs {other.degree}"
-            )
-        o = other.images
-        return Permutation(tuple(o[i] for i in self.images))
+        a, b = self.images, other.images
+        if len(a) != len(b):
+            raise DegreeMismatchError(f"degree mismatch: {len(a)} vs {len(b)}")
+        return Permutation._trusted(tuple(map(b.__getitem__, a)))
 
     def inverse(self) -> "Permutation":
-        out = [0] * self.degree
+        out = [0] * len(self.images)
         for i, j in enumerate(self.images):
             out[j] = i
-        return Permutation(tuple(out))
+        return Permutation._trusted(tuple(out))
 
     def __pow__(self, n: int) -> "Permutation":
         if n < 0:
@@ -112,7 +133,7 @@ def block_sum(*perms: Permutation) -> Permutation:
     for p in perms:
         images.extend(i + offset for i in p.images)
         offset += p.degree
-    return Permutation(tuple(images))
+    return Permutation._trusted(tuple(images))
 
 
 class GeneratedGroup:
@@ -140,7 +161,7 @@ class GeneratedGroup:
         generators: Sequence[Permutation],
         tag: str,
         elements_in_order: list[Permutation],
-        index: dict[Permutation, int],
+        index: dict[tuple[int, ...], int],
         parent: list[int],
         via: list[int],
         right: list[list[int]] | None,
@@ -169,14 +190,14 @@ class GeneratedGroup:
         return Permutation.identity(self.degree)
 
     def __contains__(self, p: Permutation) -> bool:
-        return p in self._index
+        return p.images in self._index
 
     def index_of(self, p: Permutation) -> int:
-        return self._index[p]
+        return self._index[p.images]
 
     def word_of(self, p: Permutation) -> FreeWord:
         """Parent's word times the seed word; spelled in BFS order and kept."""
-        i = self._index[p]
+        i = self._index[p.images]
         words = self._words
         for j in range(len(words), i + 1):
             words.append(words[self._parent[j]] * self._seed_words[self._via[j]])
@@ -202,8 +223,9 @@ class GeneratedGroup:
         self._table()
         parent, via = self._parent, self._via
         a = [start]
+        append = a.append
         for j in range(1, self.order):
-            a.append(tables[via[j]][a[parent[j]]])
+            append(tables[via[j]][a[parent[j]]])
         return a
 
     def _inverse_table(self) -> list[int]:
@@ -215,7 +237,7 @@ class GeneratedGroup:
         """
         if self._inverse is None:
             right = self._table()
-            left = [self._walk(right, self._index[g.inverse()]) for g in self.generators]
+            left = [self._walk(right, self.index_of(g.inverse())) for g in self.generators]
             self._inverse = self._walk(left)
         return self._inverse
 
@@ -226,8 +248,8 @@ class GeneratedGroup:
         table, so no product is formed.
         """
         inv = self._inverse_table()
-        left = self._walk(self._table(), inv[self._index[p]])
-        return [inv[left[k]] for k in inv]
+        left = self._walk(self._table(), inv[self.index_of(p)])
+        return list(map(inv.__getitem__, map(left.__getitem__, inv)))
 
     def hom_into(
         self, other: "GeneratedGroup", images: Sequence[Permutation] | None = None
@@ -255,7 +277,8 @@ class GeneratedGroup:
             tables = [other._right_table(p) for p in images]
         a = self._walk(tables)
         for table, t in zip(self._table(), tables):
-            if any(a[j] != t[a[i]] for i, j in enumerate(table)):
+            # edge i -> table[i]: a[table[i]] must be a[i] times the image
+            if list(map(t.__getitem__, a)) != list(map(a.__getitem__, table)):
                 return None
         return a
 
@@ -288,6 +311,11 @@ def generate_group(
     """Breadth-first closure of the generators, recording a Schreier tree
     and the right-multiplication table (every product is looked up anyway).
 
+    The closure runs on image tuples: a step is one ``map`` of the
+    generator's images over the current element, and the index is keyed by
+    the tuples.  Each new element is wrapped once, unchecked, as a product
+    of the (checked) generators.
+
     Positive products suffice to close a finite group, so words use positive
     letters only (unless explicit ``seed_words`` carry inverses).  The BFS
     order makes the element list and the words reproducible across runs.
@@ -306,31 +334,35 @@ def generate_group(
         raise DegreeMismatchError("generators must share a degree")
     if seed_words is None:
         seed_words = [FreeWord(tag, ((i, 1),)) for i in range(len(gens))]
-    identity = Permutation.identity(degree)
+    # current * gen sends i to gen[current[i]]
+    steps = [g.images.__getitem__ for g in gens]
+    identity = tuple(range(degree))
     index = {identity: 0}
-    elements = [identity]
+    found = [identity]
+    append = found.append
     parent, via = [0], [0]
     right: list[list[int]] | None = [[] for _ in gens] if order is None else None
     cursor = 0
-    while cursor < len(elements) and len(elements) != order:
-        current = elements[cursor]
-        for g, gen in enumerate(gens):
-            product = current * gen
+    while cursor < len(found) and len(found) != order:
+        current = found[cursor]
+        for g, step in enumerate(steps):
+            product = tuple(map(step, current))
             j = index.get(product)
             if j is None:
-                j = index[product] = len(elements)
-                elements.append(product)
+                j = index[product] = len(found)
+                append(product)
                 parent.append(cursor)
                 via.append(g)
-                if len(elements) > max_size:
-                    raise GroupSizeCapExceeded(max_size, len(elements))
+                if len(found) > max_size:
+                    raise GroupSizeCapExceeded(max_size, len(found))
             if right is not None:
                 right[g].append(j)
         cursor += 1
-    if order is not None and len(elements) != order:
+    if order is not None and len(found) != order:
         raise InternalInconsistencyError(
-            f"closure has {len(elements)} elements, not the given order {order}"
+            f"closure has {len(found)} elements, not the given order {order}"
         )
+    elements = list(map(Permutation._trusted, found))
     return GeneratedGroup(
         gens, tag, elements, index, parent, via, right, seed_words, word_basis
     )

@@ -52,9 +52,11 @@ class GtShadow:
     is printed, and what the word-level references substitute) and its
     image in F2/N_F2.  Two shadows are the same morphism iff their targets, m
     residues and f images agree; the word is just a representative.
+    ``_e_own`` keeps the E map out of the target's own F2/N_F2, once
+    :func:`_is_settled` has built it, for :func:`_e_table` to reuse.
     """
 
-    __slots__ = ("target", "m", "f_word", "f_elt", "_source")
+    __slots__ = ("target", "m", "f_word", "f_elt", "_source", "_e_own")
 
     def __init__(
         self,
@@ -69,6 +71,7 @@ class GtShadow:
         self.f_word = f_word
         self.f_elt = f_elt
         self._source = source
+        self._e_own: list[int] | None = None
 
     def key(self) -> tuple[int, Permutation]:
         """The pair that identifies the shadow among those with one target."""
@@ -258,7 +261,7 @@ def _is_settled(s: GtShadow) -> bool:
     if math.gcd(k, d.c_period) != 1:
         return False
     q = d.f2_quotient
-    a = _e_map(s, s.target)
+    a = s._e_own = _e_map(s, s.target)
     if a is None or len(set(a)) != q.order:
         return False
     cr = d.c_period_image
@@ -354,9 +357,12 @@ def _e_map(s: GtShadow, source: NfiSubgroup) -> list[int] | None:
 
 def _e_table(s: GtShadow, source: NfiSubgroup) -> list[int]:
     """:func:`_e_map` as a bijection from ``source``'s F2/K_F2 onto F2/N_F2;
-    ``source`` is any realization of K = source(s)."""
+    ``source`` is any realization of K = source(s).  Out of the target
+    itself, the map :func:`_is_settled` built is reused."""
     quotient = s.target.data.f2_quotient
-    a = _e_map(s, source)
+    a = s._e_own if source is s.target else None
+    if a is None:
+        a = _e_map(s, source)
     if a is None or len(a) != quotient.order or len(set(a)) != quotient.order:
         raise InternalInconsistencyError(
             f"induced map on F2 cosets is not a bijection for {s!r}"

@@ -224,8 +224,9 @@ def from_f2_quotient(
     c -> 1.  B3 then acts on the cosets of ker(psi-tilde); cosets are pairs
     (element of im(psi), transversal label), and sigma_i moves a pair by the
     positive row of :data:`~braidshadow.words.COSET_TABLE` for its label:
-    the row's F2 word multiplies the element on the right, its label
-    replaces the pair's, and its c delta is ignored, since c dies.  The
+    the row's F2 word multiplies the element on the right (one row of
+    im(psi)'s right table per move, no product), its label replaces the
+    pair's, and its c delta is ignored, since c dies.  The
     kernel of that action is the normal core, a finite-index normal
     subgroup of B3 inside PB3 whose F2-part is contained in ker(psi).
     """
@@ -236,15 +237,15 @@ def from_f2_quotient(
     label_pos = {lab: k for k, lab in enumerate(TRANSVERSAL_LABELS)}
 
     def action(i: int) -> Permutation:
+        # point g * n_labels + s, for g an index into im(psi) and s a label
         images = [0] * (n * n_labels)
         for s_idx, s_label in enumerate(TRANSVERSAL_LABELS):
             f2, _dc, new_label = COSET_TABLE[s_label, (i, 1)]
             move = image_group.evaluate(FreeWord(TAG_F2, f2))
-            for g_idx, g in enumerate(image_group.elements_in_order):
-                point = g_idx * n_labels + s_idx
-                images[point] = (
-                    image_group.index_of(g * move) * n_labels + label_pos[new_label]
-                )
+            new_pos = label_pos[new_label]
+            images[s_idx::n_labels] = [
+                j * n_labels + new_pos for j in image_group._right_table(move)
+            ]
         return Permutation(tuple(images))
 
     if not label:

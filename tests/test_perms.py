@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import hypothesis
@@ -49,12 +50,13 @@ def test_mul_applies_left_factor_first():
 
 
 def test_rejects_non_bijections():
-    with pytest.raises(ValueError):
-        Permutation((0, 0, 1))
-    with pytest.raises(ValueError):
-        Permutation((0, 2))
-    with pytest.raises(DegreeMismatchError):
-        SWAP * C3
+    for images in [(0, 0), (1, 2), (0, 0, 1), (0, 2), (-1, 0), (1,)]:
+        with pytest.raises(ValueError):
+            Permutation(images)
+    # unchecked products still refuse mixed degrees
+    for p, q in [(SWAP, C3), (C3, Permutation.identity(4))]:
+        with pytest.raises(DegreeMismatchError):
+            p * q
 
 
 def test_pow_matches_repeated_product():
@@ -93,6 +95,36 @@ def test_inverse_antihomomorphism(p, q):
 @hypothesis.given(perms6, perms6, perms6)
 def test_mul_associative(p, q, r):
     assert (p * q) * r == p * (q * r)
+
+
+# Products, inverses and powers skip the bijection check; these compare
+# them with image tuples computed here and wrapped by the checked constructor.
+same_degree_pairs = strat.integers(1, 12).flatmap(
+    lambda n: strat.tuples(strat.permutations(range(n)), strat.permutations(range(n)))
+)
+
+
+def checked_equal(got, expected_images):
+    expected = Permutation(tuple(expected_images))
+    assert type(got.images) is tuple
+    assert got == expected and hash(got) == hash(expected)
+
+
+@hypothesis.given(same_degree_pairs, strat.integers(-30, 30))
+@hypothesis.settings(max_examples=200)
+def test_unchecked_arithmetic_matches_the_checked_reference(pair, n):
+    a, b = pair
+    p, q = Permutation(tuple(a)), Permutation(tuple(b))
+    degree = len(a)
+    checked_equal(p * q, [b[a[i]] for i in range(degree)])
+    inverse = [a.index(i) for i in range(degree)]
+    checked_equal(p.inverse(), inverse)
+    step = a if n >= 0 else inverse
+    power = list(range(degree))
+    for _ in range(abs(n)):
+        power = [step[i] for i in power]
+    checked_equal(p**n, power)
+    checked_equal(Permutation.identity(degree), range(degree))
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +169,12 @@ def test_closure_order_agrees_with_generation():
         assert closure_order(gens) == generate_group(gens).order
 
 
-def test_index_lookup():
+def test_index_lookup(cat09):
     G = generate_group([T01, T12])
-    for i, g in enumerate(G.elements_in_order):
-        assert G.index_of(g) == i
+    for H in (G, cat09.b3_quotient):
+        for i, g in enumerate(H.elements_in_order):
+            assert H.index_of(g) == i
+            assert H.index_of(Permutation(g.images)) == i  # a freshly checked copy
     assert Permutation((1, 2, 0)) in G
     # membership is exactly the listed elements, each listed once
     for H in (G, generate_group([C3])):
@@ -460,6 +494,30 @@ def test_known_order_stops_the_same_bfs():
         generate_group(gens, max_size=full.order - 1, order=full.order)
     with pytest.raises(InternalInconsistencyError):
         generate_group(gens, order=full.order + 1)
+
+
+def test_quotient_closures_are_frozen(catalog7, cat09, cat10):
+    # discovery order, Schreier tree and right table of B3/N and F2/N_F2
+    # for every degree-7 kernel, hashed from the closure over Permutation
+    # objects with a validated product
+    digest = hashlib.sha256()
+    for N in [*catalog7, cat09, cat10]:
+        for G in (N.b3_quotient, N.data.f2_quotient):
+            for i, g in enumerate(G.elements_in_order):
+                digest.update(repr((g.images, G._parent[i], G._via[i])).encode())
+            digest.update(repr(G.right).encode())
+    assert digest.hexdigest() == (
+        "a4842374343f919f084c2e77dfb76ca8a9bbe8226bf5cd35eee94dffcd4cdd6e"
+    )
+
+
+def test_quotient_closure_trips_the_cap_at_its_order(cat09):
+    gens = cat09.hom.images
+    order = cat09.b3_quotient.order
+    assert generate_group(gens, tag=TAG_B3, max_size=order).order == order
+    with pytest.raises(GroupSizeCapExceeded) as exc:
+        generate_group(gens, tag=TAG_B3, max_size=order - 1)
+    assert (exc.value.cap, exc.value.partial_count) == (order - 1, order)
 
 
 @pytest.mark.parametrize("gens", [

@@ -20,6 +20,7 @@ from braidshadow.perms import (
 )
 from braidshadow.shadows import (
     GtShadow,
+    _e_map,
     _hexagon_points,
     _is_settled,
     _t_f2_onto,
@@ -580,3 +581,22 @@ def test_shadow_equality_semantics(catalog4):
     assert clone == a
     assert hash(clone) == hash(a)
     assert clone != identity_shadow(catalog4[0])
+
+
+def test_settled_shadow_builds_its_e_map_once(monkeypatch, catalog4):
+    # _is_settled builds E out of the target; inverting and composing with
+    # the inverse reuse it instead of building it twice more
+    N = catalog4[-1]
+    a = next(t for t in enumerate_shadows(N) if t.m and not t.f_elt.is_identity())
+    s = GtShadow(N, a.m, a.f_word, a.f_elt)
+    calls = []
+
+    def counting(shadow, source):
+        calls.append((shadow, source))
+        return _e_map(shadow, source)
+
+    monkeypatch.setattr("braidshadow.shadows._e_map", counting)
+    inverse = invert_shadow(s)
+    assert compose_shadows(s, inverse) == identity_shadow(N)
+    assert shadow_source(s) is N
+    assert calls == [(s, N)]
