@@ -244,15 +244,24 @@ class GeneratedGroup:
     def _right_table(self, p: Permutation) -> list[int]:
         """Right multiplication by element p, on indices: x p for each x.
 
-        Computed as x p = (p^-1 x^-1)^-1, from a left table and the inverse
+        For a generator g this is ``right[g]`` itself, shared and not to be
+        mutated (``right[g][0]`` is g's own index).  Any other element's is
+        computed as x p = (p^-1 x^-1)^-1, from a left table and the inverse
         table, so no product is formed.
         """
+        right = self._table()
+        i = self.index_of(p)
+        for row in right:
+            if row[0] == i:
+                return row
         inv = self._inverse_table()
-        left = self._walk(self._table(), inv[self.index_of(p)])
+        left = self._walk(right, inv[i])
         return list(map(inv.__getitem__, map(left.__getitem__, inv)))
 
     def hom_into(
-        self, other: "GeneratedGroup", images: Sequence[Permutation] | None = None
+        self,
+        other: "GeneratedGroup",
+        images: Sequence[Permutation | list[int]] | None = None,
     ) -> list[int] | None:
         """The homomorphism generator i -> images[i] into ``other``, or None.
 
@@ -260,10 +269,12 @@ class GeneratedGroup:
         image in ``other``.  Without ``images``, generator i goes to
         ``other.generators[i]`` and right multiplication is read straight
         from ``other.right``; otherwise from ``other``'s right tables of the
-        images.  The map is spelled with :meth:`_walk` and checked on every
-        edge of ``self.right``; None if an edge disagrees (no homomorphism
-        extends the images) or an image lies outside ``other``.  Integer
-        work only; degrees may differ.
+        images.  An image may be given as that table already (a list, as
+        :meth:`_right_table` returns it), which is then read, not rebuilt.
+        The map is spelled with :meth:`_walk` and checked on every edge of
+        ``self.right``; None if an edge disagrees (no homomorphism extends
+        the images) or an image lies outside ``other``.  Integer work only;
+        degrees may differ.
         """
         n = len(self.generators)
         count = len(other.generators) if images is None else len(images)
@@ -271,10 +282,10 @@ class GeneratedGroup:
             raise ValueError(f"need {n} generator images, got {count}")
         if images is None:
             tables = other._table()
-        elif any(p not in other for p in images):
+        elif any(isinstance(p, Permutation) and p not in other for p in images):
             return None
         else:
-            tables = [other._right_table(p) for p in images]
+            tables = [p if isinstance(p, list) else other._right_table(p) for p in images]
         a = self._walk(tables)
         for table, t in zip(self._table(), tables):
             # edge i -> table[i]: a[table[i]] must be a[i] times the image

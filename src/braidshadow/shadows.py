@@ -12,11 +12,18 @@ of targets.  Both apply one map to elements: E_{m,f} on F2 cosets,
 tabulated by ``hom_into`` (:func:`_e_map`), and the same map decides
 whether a shadow is settled (:func:`_is_settled`).  No word is substituted; a
 result's word is the one its quotient's ``f2_commutator`` spells.
+
+The k-th powers, k = 2m+1, that T and E are made of depend on (N, m) and not
+on f.  :func:`_powers` reads them off the quotients' generator rows once per
+unit m and keeps them on N, so a shadow forms only the products that
+involve its own F.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from typing import NamedTuple
 
 from .errors import (
     BraidRelationError,
@@ -52,8 +59,9 @@ class GtShadow:
     is printed, and what the word-level references substitute) and its
     image in F2/N_F2.  Two shadows are the same morphism iff their targets, m
     residues and f images agree; the word is just a representative.
-    ``_e_own`` keeps the E map out of the target's own F2/N_F2, once
-    :func:`_is_settled` has built it, for :func:`_e_table` to reuse.
+    ``_e_own`` keeps the E map out of the target's own F2/N_F2 of a
+    shadow that :func:`_is_settled` found settled, for :func:`_e_table` to
+    reuse; an unsettled shadow keeps none.
     """
 
     __slots__ = ("target", "m", "f_word", "f_elt", "_source", "_e_own")
@@ -151,6 +159,8 @@ def _t_f2_onto(N: NfiSubgroup, big_f: Permutation) -> bool:
     x^(2m+1) and F^-1 y^(2m+1) F generate F2/N_F2, and raising an element
     to a power prime to N_ord keeps the cyclic group it generates, since
     the orders of x and y divide N_ord.  So the test does not involve m.
+    x is a generator of F2/N_F2, so its table is that group's own row, and
+    only F^-1 y F's is built.
     """
     d = N.data
     ey = big_f.inverse() * d.y_image * big_f
@@ -180,19 +190,77 @@ def is_shadow(N: NfiSubgroup, m: int, f: FreeWord) -> bool:
     return hexagons and _t_f2_onto(N, big_f)
 
 
+class _Powers(NamedTuple):
+    """What every shadow (m, f) with target N reads, k = 2m+1: sigma_1^k,
+    sigma_2^k and c^k in B3/N; x^k, y^k, the index of (c^r)^k (r =
+    ``c_period``) and the right table of x^k in F2/N_F2."""
+
+    g1: Permutation
+    g2: Permutation
+    c: Permutation
+    x: Permutation
+    y: Permutation
+    cr: int
+    x_table: list[int]
+
+
+def _along(rows: list[list[int]], steps: int) -> int:
+    """The index reached from the identity by ``steps`` right
+    multiplications by generators, taking the ``rows`` in turn."""
+    i = 0
+    for row in itertools.islice(itertools.cycle(rows), steps):
+        i = row[i]
+    return i
+
+
+def _powers(N: NfiSubgroup, m: int) -> _Powers:
+    """The :class:`_Powers` of (N, m), m reduced mod N_ord; none involves f.
+
+    Each power is an element the quotient already holds, read off its
+    generator rows with no product formed: sigma_i^k is k steps along
+    ``b3_quotient.right[i]``, c^k = Delta^(2k) = (sigma_1 sigma_2)^(3k) is
+    6k steps along both rows in turn, and x^k and y^k are steps along
+    ``f2_quotient.right``.  x, y and c have orders dividing N_ord, so their
+    exponents are reduced mod N_ord first.  x^k's table is
+    ``f2_quotient.right[0]`` itself when x^k = x.  Kept on N for a unit k
+    only, so N holds at most one entry per unit residue mod N_ord.
+    """
+    pw = N._powers.get(m)
+    if pw is not None:
+        return pw
+    d = N.data
+    n, k = d.n_ord, 2 * m + 1
+    b, q = d.b3_quotient, d.f2_quotient
+    b_at, q_at = b.elements_in_order, q.elements_in_order
+    x = q_at[_along(q.right[:1], k % n)]
+    pw = _Powers(
+        g1=b_at[_along(b.right[:1], k)],
+        g2=b_at[_along(b.right[1:], k)],
+        c=b_at[_along(b.right, 6 * (k % n))],
+        x=x,
+        y=q_at[_along(q.right[1:], k % n)],
+        cr=q.index_of(b_at[_along(b.right, 6 * (d.c_period * k % n))]),
+        x_table=q._right_table(x),
+    )
+    if math.gcd(k, n) == 1:
+        N._powers[m] = pw
+    return pw
+
+
 def t_hom(s: GtShadow) -> GenHom:
     """The homomorphism B3 -> B3/N attached to a shadow, as generator images.
 
     The braid relation is a theorem once the hexagons hold, so a violation
     here means the shadow was built outside the advertised constructors.
     The central element must land on its own (2m+1)-st power; that is
-    asserted too.
+    asserted too.  sigma_1^k, sigma_2^k and c^k come from :func:`_powers`,
+    so only the conjugation by F is formed per shadow.
     """
-    g1, g2 = s.target.hom.images
     k = 2 * s.m + 1
+    pw = _powers(s.target, s.m)
     big_f = s.f_elt
-    im1 = g1**k
-    im2 = big_f.inverse() * g2**k * big_f
+    im1 = pw.g1
+    im2 = big_f.inverse() * pw.g2 * big_f
     try:
         hom = GenHom(TAG_B3, (im1, im2))
     except BraidRelationError as exc:
@@ -200,7 +268,7 @@ def t_hom(s: GtShadow) -> GenHom:
             f"braid relation failed for T at {s!r}; hexagons must not hold"
         ) from exc
     delta_im = im1 * im2 * im1
-    if delta_im * delta_im != s.target.data.c_image**k:
+    if delta_im * delta_im != pw.c:
         raise InternalInconsistencyError(
             f"central element image is not c^{k} for {s!r}"
         )
@@ -255,17 +323,19 @@ def shadow_source(s: GtShadow) -> NfiSubgroup:
 
 def _is_settled(s: GtShadow) -> bool:
     """ker T = N, by the three conditions of :func:`shadow_source`, the
-    cheapest (gcd(k, r) = 1) first.  T(c) = c^k is :func:`t_hom`'s check."""
+    cheapest (gcd(k, r) = 1) first.  T(c) = c^k is :func:`t_hom`'s check;
+    (c^r)^k comes from :func:`_powers`.  A settled shadow keeps its E map."""
     d = s.target.data
-    k = 2 * s.m + 1
-    if math.gcd(k, d.c_period) != 1:
+    if math.gcd(2 * s.m + 1, d.c_period) != 1:
         return False
     q = d.f2_quotient
-    a = s._e_own = _e_map(s, s.target)
+    a = _e_map(s, s.target)
     if a is None or len(set(a)) != q.order:
         return False
-    cr = d.c_period_image
-    return a[q.index_of(cr)] == q.index_of(cr**k)
+    if a[q.index_of(d.c_period_image)] != _powers(s.target, s.m).cr:
+        return False
+    s._e_own = a
+    return True
 
 
 def _theta_hexagon(N: NfiSubgroup, big_f: Permutation) -> bool:
@@ -346,13 +416,13 @@ def enumerate_shadows(
 def _e_map(s: GtShadow, source: NfiSubgroup) -> list[int] | None:
     """E_{m,f}: x -> x^(2m+1), y -> F^-1 y^(2m+1) F (F: f's image), from
     ``source``'s F2/K_F2 into F2/N_F2, on indices, or None if it is not
-    well defined.  Tabulated and checked by ``hom_into``;
+    well defined.  Tabulated and checked by ``hom_into``, which reads x^k's
+    right table from :func:`_powers` and builds only F^-1 y^k F's;
     :func:`~braidshadow.words.e_endo` is the word reference.
     """
-    d = s.target.data
-    k = 2 * s.m + 1
-    ey = s.f_elt.inverse() * d.y_image**k * s.f_elt
-    return source.data.f2_quotient.hom_into(d.f2_quotient, (d.x_image**k, ey))
+    pw = _powers(s.target, s.m)
+    ey = s.f_elt.inverse() * pw.y * s.f_elt
+    return source.data.f2_quotient.hom_into(s.target.data.f2_quotient, (pw.x_table, ey))
 
 
 def _e_table(s: GtShadow, source: NfiSubgroup) -> list[int]:

@@ -82,9 +82,10 @@ class NfiSubgroup:
 
     Equality and hashing compare the stored *realization* (degree and
     generator images); use :func:`nfi_equal` for kernel equality.  State
-    derived from N (its quotient data and its shadow list) lives on the
-    object and is dropped with it; B3/N itself is enumerated on construction,
-    and KernelNotInPb3Error is raised unless it maps onto S3 = B3/PB3.
+    derived from N (its quotient data, its shadow list and the powers its
+    shadows read, per unit m) lives on the object and is dropped with it;
+    B3/N itself is enumerated on construction, and KernelNotInPb3Error is
+    raised unless it maps onto S3 = B3/PB3.
     """
 
     def __init__(self, hom: GenHom, label: str, max_group_size: int = DEFAULT_GROUP_SIZE_CAP):
@@ -99,6 +100,7 @@ class NfiSubgroup:
             )
         self._data: QuotientData | None = None
         self._shadows = None  # GT(N), memoized by shadows.enumerate_shadows
+        self._powers = {}  # per unit m, memoized by shadows._powers
 
     @property
     def degree(self) -> int:

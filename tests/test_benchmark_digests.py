@@ -28,7 +28,7 @@ def frozen_digests() -> dict[str, str]:
     raise AssertionError("perfbench/selftest.py defines no FROZEN_DIGESTS")
 
 
-@pytest.mark.parametrize("workload", ["catalog-d5", "groupoid-queries"])
+@pytest.mark.parametrize("workload", ["catalog-d5", "groupoid-queries", "word-oracle"])
 def test_benchmark_digest_is_frozen(workload):
     proc = subprocess.run(
         [sys.executable, str(PERFBENCH / "child.py"), "--workload", workload, "--seed", "0"],

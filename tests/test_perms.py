@@ -387,6 +387,8 @@ def test_right_and_inverse_tables(gens):
     assert inverse == [G.index_of(x.inverse()) for x in elements]
     for p in elements:
         assert G._right_table(p) == [G.index_of(x * p) for x in elements]
+    for g, gen in enumerate(G.generators):
+        assert G._right_table(gen) is G.right[g]
 
 
 @hypothesis.given(strat.lists(perms6, min_size=1, max_size=3))

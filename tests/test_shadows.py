@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 
 import pytest
@@ -9,7 +11,9 @@ from braidshadow.errors import (
     NotCommutatorWordError,
     SourceTargetMismatchError,
 )
+from braidshadow.groupoid import connected_component
 from braidshadow.perms import (
+    GeneratedGroup,
     GenHom,
     Permutation,
     block_sum,
@@ -23,6 +27,7 @@ from braidshadow.shadows import (
     _e_map,
     _hexagon_points,
     _is_settled,
+    _powers,
     _t_f2_onto,
     _theta_hexagon,
     check_hexagons,
@@ -464,7 +469,10 @@ def test_settled_criterion_on_the_grid(pb3, catalog4, cat09):
                 if delta * delta != d.c_image**k:
                     continue
                 settled = kernels_equal(hom, N.hom)
-                assert _is_settled(GtShadow(N, m, EMPTY, F)) == settled
+                s = GtShadow(N, m, EMPTY, F)
+                assert _is_settled(s) == settled
+                # only a settled shadow keeps its E map
+                assert (s._e_own is not None) == settled
                 seen.add((settled, math.gcd(k, d.n_ord) == 1, d.c_period))
     assert {(False, False, 3), (False, True, 1), (True, True, 3)} <= seen
 
@@ -600,3 +608,109 @@ def test_settled_shadow_builds_its_e_map_once(monkeypatch, catalog4):
     assert compose_shadows(s, inverse) == identity_shadow(N)
     assert shadow_source(s) is N
     assert calls == [(s, N)]
+
+
+def test_powers_are_the_k_th_powers(catalog7, cat09, cat10):
+    # every m, unit or not; only the units are kept, one entry each.  The
+    # c-shift subgroup has c_period 3, so (c^r)^k is not c^k there.
+    shift3 = c_shift_subgroup(3)
+    for N in [*catalog7, cat09, cat10, shift3]:
+        d = N.data
+        q = d.f2_quotient
+        g1, g2 = N.hom.images
+        for m in range(d.n_ord):
+            k = 2 * m + 1
+            p = _powers(N, m)
+            assert (p.g1, p.g2, p.c) == (g1**k, g2**k, d.c_image**k), (N.label, m)
+            assert (p.x, p.y) == (d.x_image**k, d.y_image**k), (N.label, m)
+            assert p.cr == q.index_of(d.c_period_image**k), (N.label, m)
+            assert p.x_table == q._right_table(d.x_image**k), (N.label, m)
+        units = {m for m in range(d.n_ord) if math.gcd(2 * m + 1, d.n_ord) == 1}
+        assert set(N._powers) == units, N.label
+        assert all(_powers(N, m) is N._powers[m] for m in units)
+
+
+def counting_right_tables(monkeypatch):
+    """Record the group of each right table built, not read off a row."""
+    original = GeneratedGroup._right_table
+    built = []
+
+    def counting(group, p):
+        table = original(group, p)
+        if all(table is not row for row in group.right):
+            built.append(group)
+        return table
+
+    monkeypatch.setattr(GeneratedGroup, "_right_table", counting)
+    return built
+
+
+def test_enumeration_builds_one_table_per_tested_f(monkeypatch):
+    # x's table is F2/N_F2's own row; only F^-1 y F's is built, and not
+    # even that one when it is a generator (the parent built 2 per F: 38)
+    tested = []
+
+    def recording(N, big_f):
+        tested.append((N, big_f))
+        return _t_f2_onto(N, big_f)
+
+    monkeypatch.setattr("braidshadow.shadows._t_f2_onto", recording)
+    kernels = catalog_search(5)
+    built = counting_right_tables(monkeypatch)
+    for N in kernels:
+        enumerate_shadows(N)
+    assert len(tested) == 19
+    quotients = [N.data.f2_quotient for N in kernels]
+    assert all(any(group is q for q in quotients) for group in built)
+    rows = sum(
+        F.inverse() * N.data.y_image * F in N.data.f2_quotient.generators for N, F in tested
+    )
+    assert len(built) == len(tested) - rows == 11
+
+
+def test_component_reads_each_power_once(monkeypatch):
+    # cat06 of catalog_search(5): 20 settled shadows over 4 distinct m; the
+    # memo fills once per m, and F2/N_F2 builds one table per shadow
+    # (F^-1 y^k F) plus one per m (x^k), none for a generator (the parent
+    # built 2 per shadow: 40)
+    N = catalog_search(5)[6]
+    shadows = enumerate_shadows(N)
+    assert len(shadows) == 20
+    fills = []
+
+    class CountingDict(dict):
+        def __setitem__(self, m, p):
+            fills.append(m)
+            super().__setitem__(m, p)
+
+    N._powers = CountingDict()
+    built = counting_right_tables(monkeypatch)
+    assert connected_component(N).objects == [N]
+    ms = sorted({s.m for s in shadows})
+    assert fills == ms == [0, 1, 3, 4]
+    q = N.data.f2_quotient
+    gens = set(q.generators)
+    ey = [s.f_elt.inverse() * N._powers[s.m].y * s.f_elt for s in shadows]
+    expected = sum(e not in gens for e in ey) + sum(N._powers[m].x not in gens for m in ms)
+    assert all(group is q for group in built)
+    assert len(built) == expected == 22
+
+
+def rows_digest(N):
+    d = N.data
+    rows = [d.b3_quotient.right, d.f2_quotient.right]
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
+def test_groupoid_operations_leave_the_generator_rows_alone(cat09, cat10):
+    # callers get right[g] itself for a generator's table; no operation
+    # may write to it.  Fresh realizations, so no memo answers early.
+    for N in (cat09, cat10):
+        N = new_nfi(N.hom.images, label=N.label)
+        before = rows_digest(N)
+        shadows = enumerate_shadows(N)
+        connected_component(N)
+        for s in shadows:
+            inverse = invert_shadow(s)
+            assert compose_shadows(s, inverse) == identity_shadow(N)
+        assert rows_digest(N) == before, N.label
