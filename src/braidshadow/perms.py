@@ -11,10 +11,11 @@ checked on the table, integers only.  It decides whether generator images
 define a homomorphism (and, by counting its values, an automorphism),
 whether a group maps onto another generator by generator (for two quotients
 of B3: whether one kernel lies in the other), and tabulates such maps.
-Whether given elements generate a group is a BFS on the same table, and the
-commutator subgroup's seeds and order are read off it too.  The
-paired-image closure of :func:`kernel_contained` is kept as the tests'
-reference for kernel questions.
+One BFS over indices, :func:`_reach`, counts what given moves on those
+tables reach from the identity: it decides whether given elements generate
+the group and gives the commutator subgroup's order, whose seeds are read
+off the same tables.  The paired-image closure of :func:`kernel_contained`
+is kept as the tests' reference for kernel questions.
 
 Composition convention (used everywhere, including word evaluation): the
 product ``p * q`` means "apply p first, then q".
@@ -384,51 +385,21 @@ def closure_order(gens: Sequence[Permutation], max_size: int = DEFAULT_GROUP_SIZ
     return generate_group(gens, max_size=max_size).order
 
 
-def _abelianization_order(G: GeneratedGroup) -> int:
-    """|G^ab|, as the index in Z^n of the lattice of G's relations.
-
-    G is F_n modulo the Schreier relations e_i a_g = e_(right[g][i]), so
-    G^ab is Z^n modulo their exponent vectors v_i + u_g - v_(right[g][i]),
-    v_i being the exponent vector of e_i's tree word.  The lattice is kept
-    in echelon form, one row per pivot column, and its index is the product
-    of the pivots.
-    """
-    n = len(G.generators)
-    vec = [(0,) * n]
-    for j in range(1, G.order):
-        v = list(vec[G._parent[j]])
-        v[G._via[j]] += 1
-        vec.append(tuple(v))
-    rows: list[list[int] | None] = [None] * n
-    for g, table in enumerate(G._table()):
-        for i, j in enumerate(table):
-            v = [a - b for a, b in zip(vec[i], vec[j])]
-            v[g] += 1
-            for col in range(n):
-                if v[col] == 0:
-                    continue
-                row = rows[col]
-                if row is None:
-                    rows[col] = v if v[col] > 0 else [-a for a in v]
-                    break
-                # replace row by the combination with gcd pivot, and clear v's entry
-                d, s, t = _xgcd(row[col], v[col])
-                p, q = row[col] // d, v[col] // d
-                rows[col] = [s * a + t * b for a, b in zip(row, v)]
-                v = [p * b - q * a for a, b in zip(row, v)]
-    return math.prod(row[col] for col, row in enumerate(rows))
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(d, s, t) with d = gcd(a, b) = s a + t b."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b = b, r
-        s0, s1, t0, t1 = s1, s0 - q * s1, t1, t0 - q * t1
-    if a < 0:
-        return -a, -s0, -t0
-    return a, s0, t0
+def _reach(size: int, tables: Sequence[Sequence[int]]) -> int:
+    """How many of the indices 0..size-1 a BFS from 0 reaches, a step being
+    i -> table[i] for each table; it stops once all ``size`` are reached."""
+    seen = bytearray(size)
+    seen[0] = 1
+    reached = [0]
+    for i in reached:
+        for table in tables:
+            j = table[i]
+            if not seen[j]:
+                seen[j] = 1
+                reached.append(j)
+                if len(reached) == size:
+                    return size
+    return len(reached)
 
 
 def commutator_subgroup(
@@ -446,8 +417,19 @@ def commutator_subgroup(
     D[j] = index of e_j^-1 c e_j is a walk over the tables of conjugation
     by each generator s (s^-1 e s: a left table, then s's row of ``right``),
     and g c g^-1 is D at the index of g^-1.  The closure is then
-    :func:`generate_group` with the known order |G| / |G^ab|, so it stops at
-    its last new element and records no table.
+    :func:`generate_group` with the known order |[G,G]|, so it stops at its
+    last new element and records no table.
+
+    That order is counted by :func:`_reach` on G's own tables: the indices
+    reached from the identity when a step is right multiplication by a
+    generator commutator c or conjugation s^-1 x s by a generator s.  The
+    reached set S contains e and is closed under both moves, so S <= [G,G].
+    Conversely, by induction on k, S holds every product w of k conjugated
+    commutators: w (g c g^-1) = g ((g^-1 w g) c) g^-1, where g^-1 w g is
+    again such a product, and conjugation by g is a composite of generator
+    conjugations (in a finite group, inverses are powers; so is c^-1 of c).
+    So S = [G,G], and the closure's guard against ending short of that
+    order cross-checks the two computations.
     """
     right = G._table()
     inv = G._inverse_table()
@@ -456,12 +438,13 @@ def commutator_subgroup(
         [row[k] for k in G._walk(right, G.index_of(s.inverse()))]
         for row, s in zip(right, G.generators)
     ]
-    letters = [(a, FreeWord(G.tag, ((i, 1),))) for i, a in enumerate(G.generators)]
     comms: list[tuple[list[int], FreeWord, FreeWord]] = []
-    for (a, aw), (b, bw) in itertools.combinations(letters, 2):
-        comm_word = aw * bw * aw.inv() * bw.inv()
-        start = G.index_of(a * b * a.inverse() * b.inverse())
-        comms.append((G._walk(conj, start), comm_word, comm_word.inv()))
+    moves = list(conj)
+    for (i, a), (j, b) in itertools.combinations(enumerate(G.generators), 2):
+        comm_word = FreeWord(G.tag, ((i, 1), (j, 1), (i, -1), (j, -1)))
+        comm = a * b * a.inverse() * b.inverse()
+        comms.append((G._walk(conj, G.index_of(comm)), comm_word, comm_word.inv()))
+        moves.append(G._right_table(comm))
     seeds: list[Permutation] = []
     seed_words: list[FreeWord] = []
     seen = {0}  # the identity is never a seed
@@ -483,7 +466,7 @@ def commutator_subgroup(
         max_size=max_size,
         word_basis=G.word_basis,
         seed_words=seed_words,
-        order=G.order // _abelianization_order(G),
+        order=_reach(G.order, moves),
     )
 
 
@@ -564,27 +547,11 @@ def kernels_equal(
 
 
 def is_generating_set(G: GeneratedGroup, elems: Iterable[Permutation]) -> bool:
-    """True iff the given elements of G generate all of it.
-
-    A BFS over G's indices from the identity, one step being right
-    multiplication by a given element, read from a table built on G's own
-    multiplication table (no permutation product).  It stops as soon as all
-    ``G.order`` elements are reached.
-    """
+    """True iff the given elements of G generate all of it: :func:`_reach`
+    with right multiplication by each element, read from a table built on
+    G's own multiplication table (no permutation product)."""
     elems = list(elems)
     for p in elems:
         if p not in G:
             raise ValueError(f"element {p.images} is not in the group")
-    tables = [G._right_table(p) for p in elems]
-    seen = bytearray(G.order)
-    seen[0] = 1
-    reached = [0]
-    for i in reached:
-        for table in tables:
-            j = table[i]
-            if not seen[j]:
-                seen[j] = 1
-                reached.append(j)
-                if len(reached) == G.order:
-                    return True
-    return len(reached) == G.order
+    return _reach(G.order, [G._right_table(p) for p in elems]) == G.order

@@ -171,7 +171,7 @@ def is_shadow(N: NfiSubgroup, m: int, f: FreeWord) -> bool:
     """Full membership test: unit, commutator coset, hexagons, surjectivity.
 
     Only f's image F in F2/N_F2 is used, and the hexagons are the
-    conjugation tests of :func:`_hexagon_points`.  That is exact for any
+    element tests of :func:`_hexagon_points`.  That is exact for any
     word f whose image lies in the commutator subgroup: the hexagons of
     :func:`check_hexagons` depend only on m mod N_ord and on F, some
     commutator word has image F, and on a commutator word the full and the
@@ -345,17 +345,24 @@ def _theta_hexagon(N: NfiSubgroup, big_f: Permutation) -> bool:
 
 
 def _tau_hexagon(N: NfiSubgroup, m: int):
-    """The test of f's image F for tau^2(g) tau(g) g in N_F2, g = y^m f:
-    u^2 G u^-2 u G u^-1 c^-m G = 1 in B3/N, G = y^m F, u = sigma_1 sigma_2."""
+    """The test of f's image F for tau^2(g) tau(g) g in N_F2, g = y^m f, as
+    torsion: (G u^-1)^3 = c^(m-1) in B3/N, G = y^m F, u = sigma_1 sigma_2.
+
+    The membership reads u^2 G u^-1 G u^-1 c^-m G = 1; c = u^3 is central,
+    so it is (u^-1 G)^3 = c^(m-1), a conjugate of the cube.  y^m and
+    c^(m-1) are walked off the generator rows (:func:`_along`), so a grid
+    point costs four products.
+    """
     d = N.data
+    b, q = d.b3_quotient, d.f2_quotient
+    y_m = q.elements_in_order[_along(q.right[1:], m % d.n_ord)]
+    c_m1 = b.elements_in_order[_along(b.right, 6 * ((m - 1) % d.n_ord))]
     g1, g2 = N.hom.images
-    u = g1 * g2
-    u2, u_inv = u * u, u.inverse()
-    y_m, u_inv_c_m = d.y_image**m, u_inv * d.c_image ** (-m)
+    u_inv = (g1 * g2).inverse()
 
     def holds(big_f: Permutation) -> bool:
-        G = y_m * big_f
-        return (u2 * G * u_inv * G * u_inv_c_m * G).is_identity()
+        P = y_m * big_f * u_inv
+        return P * P * P == c_m1
 
     return holds
 
@@ -368,7 +375,8 @@ def _hexagon_points(N: NfiSubgroup, units: list[int]):
     with u = sigma_1 sigma_2, so for a commutator f with image F the two
     memberships of :func:`check_simplified_hexagons` are
     :func:`_theta_hexagon` and :func:`_tau_hexagon`.  The first does not
-    involve m and filters each F once; no word is built.
+    involve m and filters each F once; the second reads its powers once per
+    m.  No word and no power is built.
     """
     flat = [F for F in N.data.f2_commutator.elements_in_order if _theta_hexagon(N, F)]
     for m in units:
@@ -384,8 +392,8 @@ def enumerate_shadows(
     """All shadows with target N, in (m ascending, f discovery order).
 
     The candidate grid is {unit residues} x {commutator subgroup of
-    F2/N_F2}.  Every test works on elements of B3/N: the hexagons as
-    conjugations (:func:`_hexagon_points`), then surjectivity on f's image
+    F2/N_F2}.  Every test works on elements of B3/N: the hexagons
+    (:func:`_hexagon_points`), then surjectivity on f's image
     alone (:func:`_t_f2_onto`; every m of the grid is a unit, so m does not
     enter, and each F is tested once).  Only a kept shadow gets a word,
     spelled by ``f2_commutator.word_of``; :func:`check_simplified_hexagons`

@@ -29,6 +29,7 @@ from braidshadow.shadows import (
     _is_settled,
     _powers,
     _t_f2_onto,
+    _tau_hexagon,
     _theta_hexagon,
     check_hexagons,
     check_simplified_hexagons,
@@ -158,6 +159,38 @@ def test_hexagons_reduce_m_mod_n_ord(catalog4):
                 assert check_simplified_hexagons(N, m, f) == _literal_simplified_hexagons(
                     N, m, f
                 )
+
+
+def test_tau_hexagon_torsion_form_matches_the_word_membership(cat09, cat10):
+    # (G u^-1)^3 = c^(m-1) against tau^2(g) tau(g) g in N_F2, g = y^m f,
+    # at every m (unit or not) and every commutator element
+    for N in [*catalog_search(5), cat09, cat10]:
+        d = N.data
+        comm = d.f2_commutator
+        for m in range(d.n_ord):
+            holds = _tau_hexagon(N, m)
+            for F in comm.elements_in_order:
+                g = Y**m * comm.word_of(F)
+                w = tau(tau(g)) * tau(g) * g
+                assert holds(F) == d.f2_quotient.evaluate(w).is_identity(), (N.label, m)
+
+
+def test_enumeration_raises_no_power(monkeypatch):
+    # every power the grid reads is walked off the quotients' rows
+    kernels = catalog_search(5)
+    for N in kernels:
+        N.data
+    calls = []
+    original = Permutation.__pow__
+
+    def counting(p, n):
+        calls.append(n)
+        return original(p, n)
+
+    monkeypatch.setattr(Permutation, "__pow__", counting)
+    for N in kernels:
+        enumerate_shadows(N)
+    assert calls == []
 
 
 def test_is_shadow_rejections(catalog4):
@@ -656,6 +689,8 @@ def test_enumeration_builds_one_table_per_tested_f(monkeypatch):
 
     monkeypatch.setattr("braidshadow.shadows._t_f2_onto", recording)
     kernels = catalog_search(5)
+    for N in kernels:
+        N.data  # the commutator's tables are pinned on their own, below
     built = counting_right_tables(monkeypatch)
     for N in kernels:
         enumerate_shadows(N)
@@ -666,6 +701,21 @@ def test_enumeration_builds_one_table_per_tested_f(monkeypatch):
         F.inverse() * N.data.y_image * F in N.data.f2_quotient.generators for N, F in tested
     )
     assert len(built) == len(tested) - rows == 11
+
+
+def test_quotient_data_builds_one_table_per_non_generator_commutator(monkeypatch):
+    # the reach that counts |[G,G]| multiplies by [x,y] on the right: a
+    # row of F2/N_F2 when [x,y] is a generator, one table built otherwise
+    kernels = catalog_search(5)
+    built = counting_right_tables(monkeypatch)
+    quotients = [N.data.f2_quotient for N in kernels]
+    expected = []
+    for q in quotients:
+        x, y = q.generators
+        if x * y * x.inverse() * y.inverse() not in q.generators:
+            expected.append(q)
+    assert [id(q) for q in built] == [id(q) for q in expected]
+    assert len(built) == 6
 
 
 def test_component_reads_each_power_once(monkeypatch):
