@@ -19,8 +19,15 @@ so re-runs reuse results and yield byte-identical output.  Default
 directory ``.braidshadow-cache/``, overridable with ``--cache-dir`` or the
 BRAIDSHADOW_CACHE variable.
 
+Every subcommand has one shape: ``_cmd_NAME(args)`` loads its files,
+computes (through the cache where the work is long) and returns
+``(document, lines)`` without printing.  :func:`run_command` then writes
+the document to ``--json PATH`` and prints ``wrote PATH``, or prints the
+lines.
+
 Exit codes: 0 success, 1 domain error (cap exceeded, containment failures,
-invalid generator images), 2 usage or file errors.
+invalid generator images), 2 usage or file errors, an unwritable
+``--json`` or ``--save-dir`` path among them.
 """
 
 from __future__ import annotations
@@ -135,32 +142,19 @@ def shadow_doc(s: GtShadow) -> dict:
 # ---------------------------------------------------------------------------
 # cache
 
-def _cache_dir(args) -> str:
-    return (
-        args.cache_dir
-        or os.environ.get("BRAIDSHADOW_CACHE")
-        or ".braidshadow-cache"
-    )
-
-
 def _sha256(doc) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def _cache_key(content: dict) -> str:
-    return _sha256({"schema": 1, "content": content})
-
-
-def _cache_get(args, content: dict):
-    """The cached payload, or None when the entry is missing or malformed.
+def _cache_get(path: str, key: str):
+    """The payload of the entry at ``path``, or None when it is missing or malformed.
 
     An entry is used only if its ``key`` is the requested key and its
     ``sha256`` is the hash of its payload, so a payload changed after it
     was written is recomputed rather than read.
     """
-    key = _cache_key(content)
     try:
-        with open(os.path.join(_cache_dir(args), key + ".json"), encoding="utf-8") as fh:
+        with open(path, encoding="utf-8") as fh:
             entry = json.load(fh)
     except (OSError, ValueError, RecursionError):
         return None
@@ -172,52 +166,52 @@ def _cache_get(args, content: dict):
     return payload
 
 
-def _cache_put(args, content: dict, payload) -> None:
-    cdir = _cache_dir(args)
+def _cached(args, content: dict, compute):
+    """The payload for ``content``, read from the cache or computed and stored.
+
+    The key holds the command name and the caps besides ``content``, so a
+    result computed by one command, or under one cap, is never printed by
+    another command or under a cap that would refuse the work.  A new entry
+    is written to a temporary file and renamed into place.
+    """
+    key = _sha256({
+        "schema": 1,
+        "content": dict(
+            content,
+            command=args.command,
+            max_candidates=args.max_candidates,
+            max_group_size=args.max_group_size,
+        ),
+    })
+    cdir = args.cache_dir or os.environ.get("BRAIDSHADOW_CACHE") or ".braidshadow-cache"
+    path = os.path.join(cdir, key + ".json")
+    payload = _cache_get(path, key)
+    if payload is not None:
+        return payload
+    payload = compute()
     os.makedirs(cdir, exist_ok=True)
-    wrapper = {"key": _cache_key(content), "sha256": _sha256(payload), "payload": payload}
+    wrapper = {"key": key, "sha256": _sha256(payload), "payload": payload}
     fd, tmp = tempfile.mkstemp(dir=cdir, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(wrapper, fh, sort_keys=True)
-        os.replace(tmp, os.path.join(cdir, wrapper["key"] + ".json"))
+        os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def _cached(args, content: dict, compute):
-    """The cached payload for ``content`` and the caps, computed on a miss.
-
-    The caps are part of the key, so a result computed under one cap is
-    never printed under another that would refuse the work.
-    """
-    content = dict(
-        content, max_candidates=args.max_candidates, max_group_size=args.max_group_size
-    )
-    payload = _cache_get(args, content)
-    if payload is None:
-        payload = compute()
-        _cache_put(args, content, payload)
     return payload
 
 
 # ---------------------------------------------------------------------------
 # shared helpers
 
-def _emit(args, doc, human_lines) -> int:
-    if args.json:
-        save_doc(args.json, doc)
-        print(f"wrote {args.json}")
-    else:
-        for line in human_lines:
-            print(line)
-    return 0
+def _load(args, path: str) -> NfiSubgroup:
+    return load_subgroup(path, max_group_size=args.max_group_size)
 
 
-def _load(args, attr="file") -> NfiSubgroup:
-    return load_subgroup(getattr(args, attr), max_group_size=args.max_group_size)
+def _catalog(args) -> list[NfiSubgroup]:
+    return catalog_search(args.max_degree, max_group_size=args.max_group_size)
 
 
 def _shadow_from_args(args, N: NfiSubgroup) -> GtShadow:
@@ -231,19 +225,18 @@ def _shadow_from_args(args, N: NfiSubgroup) -> GtShadow:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (document, lines) for run_command to write
 
-def _cmd_validate(args) -> int:
-    N = _load(args)
-    return _emit(
-        args,
+def _cmd_validate(args) -> tuple[dict, list[str]]:
+    N = _load(args, args.file)
+    return (
         {"valid": True, "label": N.label, "degree": N.degree},
         [f"valid: {N.label} (degree {N.degree})"],
     )
 
 
-def _cmd_info(args) -> int:
-    N = _load(args)
+def _cmd_info(args) -> tuple[dict, list[str]]:
+    N = _load(args, args.file)
     d = N.data
     doc = {
         "label": N.label,
@@ -263,7 +256,7 @@ def _cmd_info(args) -> int:
         f"index_f2 = {d.index_f2}",
         f"|[F2/N_F2, F2/N_F2]| = {d.f2_commutator.order}",
     ]
-    return _emit(args, doc, lines)
+    return doc, lines
 
 
 def _shadow_set_doc(args, N: NfiSubgroup) -> dict:
@@ -275,19 +268,15 @@ def _shadow_set_doc(args, N: NfiSubgroup) -> dict:
     }
 
 
-def _cmd_shadows(args) -> int:
-    N = _load(args)
-    doc = _cached(
-        args,
-        {"command": "shadows", "subgroup": subgroup_doc(N)},
-        lambda: _shadow_set_doc(args, N),
-    )
+def _cmd_shadows(args) -> tuple[dict, list[str]]:
+    N = _load(args, args.file)
+    doc = _cached(args, {"subgroup": subgroup_doc(N)}, lambda: _shadow_set_doc(args, N))
     lines = [f"target {doc['target']}: {len(doc['shadows'])} shadows (N_ord {doc['n_ord']})"]
     for sd in doc["shadows"]:
         lines.append(
             f"  m={sd['m']} f={sd['f'] or '1'} source={sd['source_label']}"
         )
-    return _emit(args, doc, lines)
+    return doc, lines
 
 
 def _component_doc(args, N: NfiSubgroup) -> dict:
@@ -305,64 +294,57 @@ def _component_doc(args, N: NfiSubgroup) -> dict:
     }
 
 
-def _cmd_component(args) -> int:
-    N = _load(args)
-    doc = _cached(
-        args,
-        {"command": "component", "subgroup": subgroup_doc(N)},
-        lambda: _component_doc(args, N),
-    )
+def _cmd_component(args) -> tuple[dict, list[str]]:
+    N = _load(args, args.file)
+    doc = _cached(args, {"subgroup": subgroup_doc(N)}, lambda: _component_doc(args, N))
     n_morph = sum(len(v) for v in doc["morphisms"].values())
     lines = [
         f"component of {N.label}: {len(doc['objects'])} objects, "
         f"{n_morph} morphisms, isolated={doc['isolated']}",
         f"diamond: {doc['diamond']['label']} (degree {doc['diamond']['degree']})",
     ]
-    return _emit(args, doc, lines)
+    return doc, lines
 
 
-def _cmd_diamond(args) -> int:
-    N = _load(args)
+def _cmd_diamond(args) -> tuple[dict, list[str]]:
+    N = _load(args, args.file)
     doc = _cached(
         args,
-        {"command": "diamond", "subgroup": subgroup_doc(N)},
+        {"subgroup": subgroup_doc(N)},
         lambda: subgroup_doc(diamond(N, args.max_candidates)),
     )
-    lines = [f"diamond of {N.label}: {doc['label']} (degree {doc['degree']})"]
-    return _emit(args, doc, lines)
+    return doc, [f"diamond of {N.label}: {doc['label']} (degree {doc['degree']})"]
 
 
-def _cmd_reduce(args) -> int:
-    N = _load(args)
-    H = load_subgroup(args.coarser, max_group_size=args.max_group_size)
-    s = _shadow_from_args(args, N)
-    reduced = reduce_shadow(s, H)
-    doc = {"target": H.label, "shadow": shadow_doc(reduced)}
-    sd = doc["shadow"]
-    return _emit(
-        args,
-        doc,
+def _cmd_reduce(args) -> tuple[dict, list[str]]:
+    N = _load(args, args.file)
+    H = _load(args, args.coarser)
+    reduced = reduce_shadow(_shadow_from_args(args, N), H)
+    sd = shadow_doc(reduced)
+    return (
+        {"target": H.label, "shadow": sd},
         [f"reduced to {H.label}: m={sd['m']} f={sd['f'] or '1'}"],
     )
 
 
-def _cmd_survive(args) -> int:
-    H = _load(args)
-    N = load_subgroup(args.finer, max_group_size=args.max_group_size)
+def _cmd_survive(args) -> tuple[dict, list[str]]:
+    H = _load(args, args.file)
+    N = _load(args, args.finer)
     s = _shadow_from_args(args, H)
     ok = survives(s, N, args.max_candidates)
-    doc = {"survives": ok, "shadow": shadow_doc(s), "into": N.label}
     verb = "survives" if ok else "does not survive"
-    return _emit(args, doc, [f"(m={s.m}, f={args.f or '1'}) {verb} into {N.label}"])
+    return (
+        {"survives": ok, "shadow": shadow_doc(s), "into": N.label},
+        [f"(m={s.m}, f={args.f or '1'}) {verb} into {N.label}"],
+    )
 
 
-def _cmd_genuine(args) -> int:
-    N = _load(args)
+def _cmd_genuine(args) -> tuple[dict, list[str]]:
+    N = _load(args, args.file)
     s = _shadow_from_args(args, N)
 
     def compute():
-        catalog = catalog_search(args.max_degree, max_group_size=args.max_group_size)
-        verdict = genuine_to_depth(s, catalog, args.max_candidates)
+        verdict = genuine_to_depth(s, _catalog(args), args.max_candidates)
         return {
             "verdict": verdict.kind,
             "checked": [entry.label for entry in verdict.checked],
@@ -377,7 +359,6 @@ def _cmd_genuine(args) -> int:
     doc = _cached(
         args,
         {
-            "command": "genuine",
             "subgroup": subgroup_doc(N),
             "m": s.m,
             "f": word_to_text(s.f_word),
@@ -388,14 +369,13 @@ def _cmd_genuine(args) -> int:
     lines = [f"verdict: {doc['verdict']} (checked {len(doc['checked'])} subgroups)"]
     if doc["witness"]:
         lines.append(f"witness: {doc['witness']}")
-    return _emit(args, doc, lines)
+    return doc, lines
 
 
-def _cmd_catalog(args) -> int:
+def _cmd_catalog(args) -> tuple[dict, list[str]]:
     def compute():
-        entries = catalog_search(args.max_degree, max_group_size=args.max_group_size)
         out = []
-        for entry in entries:
+        for entry in _catalog(args):
             d = entry.data
             shadows = enumerate_shadows(entry, max_candidates=args.max_candidates)
             out.append(
@@ -409,19 +389,13 @@ def _cmd_catalog(args) -> int:
             )
         return {"max_degree": args.max_degree, "entries": out}
 
-    doc = _cached(args, {"command": "catalog", "max_degree": args.max_degree}, compute)
+    doc = _cached(args, {"max_degree": args.max_degree}, compute)
     lines = [f"catalog (degree <= {doc['max_degree']}): {len(doc['entries'])} kernels"]
     for entry in doc["entries"]:
         lines.append(
-            "  {label}: degree={degree} index_pb3={ip} index_f2={if2} "
-            "n_ord={n} |GT|={gt}".format(
-                label=entry["subgroup"]["label"],
-                degree=entry["subgroup"]["degree"],
-                ip=entry["index_pb3"],
-                if2=entry["index_f2"],
-                n=entry["n_ord"],
-                gt=entry["gt_count"],
-            )
+            f"  {entry['subgroup']['label']}: degree={entry['subgroup']['degree']} "
+            f"index_pb3={entry['index_pb3']} index_f2={entry['index_f2']} "
+            f"n_ord={entry['n_ord']} |GT|={entry['gt_count']}"
         )
     if args.save_dir:
         os.makedirs(args.save_dir, exist_ok=True)
@@ -431,23 +405,16 @@ def _cmd_catalog(args) -> int:
             )
             save_doc(path, entry["subgroup"])
         lines.append(f"saved {len(doc['entries'])} subgroup files to {args.save_dir}")
-    return _emit(args, doc, lines)
+    return doc, lines
 
 
-def _cmd_mainline(args) -> int:
-    catalog = [
-        load_subgroup(path, max_group_size=args.max_group_size)
-        for path in args.files
-    ]
+def _cmd_mainline(args) -> tuple[dict, list[str]]:
+    catalog = [_load(args, path) for path in args.files]
 
     def compute():
         diagram, limit = main_line_limit(catalog, args.max_candidates)
-        group_docs = []
-        indexers = []
-        for i, obj in enumerate(diagram.poset_objects):
-            shadows = diagram.groups[i]
-            group_docs.append([shadow_doc(s) for s in shadows])
-            indexers.append({s: k for k, s in enumerate(shadows)})
+        groups = [diagram.groups[i] for i in range(len(diagram.poset_objects))]
+        indexers = [{s: k for k, s in enumerate(shadows)} for shadows in groups]
         edges = {}
         for (i, j), table in diagram.edges.items():
             edges[f"{i}->{j}"] = [
@@ -455,7 +422,7 @@ def _cmd_mainline(args) -> int:
             ]
         return {
             "objects": [subgroup_doc(obj) for obj in diagram.poset_objects],
-            "groups": group_docs,
+            "groups": [[shadow_doc(s) for s in shadows] for shadows in groups],
             "edges": edges,
             "limit": [
                 [indexers[i][s] for i, s in enumerate(tup)] for tup in limit
@@ -465,7 +432,6 @@ def _cmd_mainline(args) -> int:
     doc = _cached(
         args,
         {
-            "command": "mainline",
             "subgroups": sorted(
                 (subgroup_doc(entry) for entry in catalog),
                 key=lambda d: json.dumps(d, sort_keys=True),
@@ -479,33 +445,39 @@ def _cmd_mainline(args) -> int:
     ]
     for obj, group in zip(doc["objects"], doc["groups"]):
         lines.append(f"  {obj['label']}: |GT| = {len(group)}")
-    return _emit(args, doc, lines)
+    return doc, lines
 
 
 # ---------------------------------------------------------------------------
 # parser
 
+# the integer flags every command takes, each at least 1: (flag, default, help)
+_POSITIVE_FLAGS = (
+    ("--max-group-size", DEFAULT_GROUP_SIZE_CAP, "cap on any single group closure"),
+    ("--max-candidates", DEFAULT_CANDIDATE_CAP,
+     "cap on an enumeration grid and on each main-line level"),
+    ("--threads", 1, "accepted for compatibility; enumeration is serial"),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", metavar="PATH", help="write machine output to PATH")
     common.add_argument("--cache-dir", metavar="DIR", help="result cache directory")
-    common.add_argument(
-        "--max-group-size",
+    for flag, default, text in _POSITIVE_FLAGS:
+        common.add_argument(flag, type=int, default=default, help=text)
+    single = argparse.ArgumentParser(add_help=False)
+    single.add_argument("file")
+    shadow = argparse.ArgumentParser(add_help=False)
+    shadow.add_argument("file", help="subgroup file of the shadow's target")
+    shadow.add_argument("-m", type=int, required=True)
+    shadow.add_argument("-f", default="", help="commutator word over x,y (default empty)")
+    depth = argparse.ArgumentParser(add_help=False)
+    depth.add_argument(
+        "--max-degree",
         type=int,
-        default=DEFAULT_GROUP_SIZE_CAP,
-        help="cap on any single group closure",
-    )
-    common.add_argument(
-        "--max-candidates",
-        type=int,
-        default=DEFAULT_CANDIDATE_CAP,
-        help="cap on an enumeration grid and on each main-line level",
-    )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility; enumeration is serial",
+        default=4,
+        help=f"largest symmetric group degree searched (at most {DEFAULT_CATALOG_DEGREE_LIMIT})",
     )
 
     parser = argparse.ArgumentParser(
@@ -513,98 +485,53 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Groupoid of GT-shadows over finite quotients of B3",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", parents=[common], help="check a subgroup file")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("info", parents=[common], help="quotient data of a subgroup")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_info)
-
-    p = sub.add_parser("shadows", parents=[common], help="enumerate GT(N)")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_shadows)
-
-    p = sub.add_parser(
-        "component", parents=[common], help="connected component of a subgroup"
+    commands = {}
+    for name, parents, func, text in (
+        ("validate", [single], _cmd_validate, "check a subgroup file"),
+        ("info", [single], _cmd_info, "quotient data of a subgroup"),
+        ("shadows", [single], _cmd_shadows, "enumerate GT(N)"),
+        ("component", [single], _cmd_component, "connected component of a subgroup"),
+        ("diamond", [single], _cmd_diamond, "intersection of the component"),
+        ("reduce", [shadow], _cmd_reduce, "reduce a shadow to a coarser target"),
+        ("survive", [shadow], _cmd_survive, "does a shadow survive into a finer subgroup"),
+        ("genuine", [shadow, depth], _cmd_genuine, "search a catalog for a fakeness certificate"),
+        ("catalog", [depth], _cmd_catalog, "distinct kernels from small degrees"),
+        ("mainline", [], _cmd_mainline, "reduction diagram over isolated subgroups"),
+    ):
+        commands[name] = sub.add_parser(name, parents=[common, *parents], help=text)
+        commands[name].set_defaults(func=func)
+    commands["reduce"].add_argument("coarser", help="subgroup file containing the target")
+    commands["survive"].add_argument("finer", help="subgroup file contained in the target")
+    commands["catalog"].add_argument(
+        "--save-dir", metavar="DIR", help="write one subgroup file per kernel"
     )
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_component)
-
-    p = sub.add_parser(
-        "diamond", parents=[common], help="intersection of the component"
-    )
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_diamond)
-
-    p = sub.add_parser(
-        "reduce", parents=[common], help="reduce a shadow to a coarser target"
-    )
-    p.add_argument("file", help="subgroup file of the shadow's target")
-    p.add_argument("coarser", help="subgroup file containing the target")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-f", default="", help="commutator word over x,y (default empty)")
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser(
-        "survive", parents=[common], help="does a shadow survive into a finer subgroup"
-    )
-    p.add_argument("file", help="subgroup file of the shadow's target")
-    p.add_argument("finer", help="subgroup file contained in the target")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-f", default="", help="commutator word over x,y (default empty)")
-    p.set_defaults(func=_cmd_survive)
-
-    p = sub.add_parser(
-        "genuine", parents=[common], help="search a catalog for a fakeness certificate"
-    )
-    p.add_argument("file", help="subgroup file of the shadow's target")
-    p.add_argument("-m", type=int, required=True)
-    p.add_argument("-f", default="", help="commutator word over x,y (default empty)")
-    p.add_argument(
-        "--max-degree",
-        type=int,
-        default=4,
-        help=f"catalog search depth (at most {DEFAULT_CATALOG_DEGREE_LIMIT})",
-    )
-    p.set_defaults(func=_cmd_genuine)
-
-    p = sub.add_parser(
-        "catalog", parents=[common], help="distinct kernels from small degrees"
-    )
-    p.add_argument(
-        "--max-degree",
-        type=int,
-        default=4,
-        help=f"largest symmetric group degree (at most {DEFAULT_CATALOG_DEGREE_LIMIT})",
-    )
-    p.add_argument("--save-dir", metavar="DIR", help="write one subgroup file per kernel")
-    p.set_defaults(func=_cmd_catalog)
-
-    p = sub.add_parser(
-        "mainline", parents=[common], help="reduction diagram over isolated subgroups"
-    )
-    p.add_argument("files", nargs="+", help="isolated subgroup files")
-    p.set_defaults(func=_cmd_mainline)
-
+    commands["mainline"].add_argument("files", nargs="+", help="isolated subgroup files")
     return parser
 
 
 def run_command(argv) -> int:
-    """Parse argv and execute; returns the process exit code."""
+    """Parse argv, run the command, and write its document or print its lines.
+
+    Returns the process exit code.  Writing ``--json`` happens inside the
+    same ``try`` as the command, so an unwritable path is a file error.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        for flag in ("threads", "max_candidates", "max_group_size"):
-            value = getattr(args, flag)
+        for flag, _, _ in _POSITIVE_FLAGS:
+            value = getattr(args, flag[2:].replace("-", "_"))
             if value < 1:
-                name = "--" + flag.replace("_", "-")
-                raise ValueError(f"{name} must be at least 1, got {value}")
-        return args.func(args)
+                raise ValueError(f"{flag} must be at least 1, got {value}")
+        doc, lines = args.func(args)
+        if args.json:
+            save_doc(args.json, doc)
+            lines = [f"wrote {args.json}"]
+        for line in lines:
+            print(line)
+        return 0
     except BraidshadowError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

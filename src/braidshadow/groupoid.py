@@ -8,8 +8,9 @@ finite poset of isolated objects.
 Reduction is one walk of B3/N into B3/H per pair of objects (which also
 decides N <= H), applied to each shadow's f image.
 
-Every ``threads`` parameter is accepted for compatibility and ignored:
-enumeration is serial.  Every ``max_candidates`` is passed to each
+The ``threads`` parameter of :func:`connected_component`, :func:`diamond`,
+:func:`survives`, :func:`genuine_to_depth` and :func:`main_line_limit` is
+accepted for compatibility and ignored: enumeration is serial.  Every ``max_candidates`` is passed to each
 :func:`enumerate_shadows` call a function makes; :func:`main_line_limit`
 also applies it to each level of its limit.
 """
@@ -97,9 +98,7 @@ def connected_component(
     )
 
 
-def is_isolated(
-    N: NfiSubgroup, max_candidates: int = DEFAULT_CANDIDATE_CAP, threads: int = 1
-) -> bool:
+def is_isolated(N: NfiSubgroup, max_candidates: int = DEFAULT_CANDIDATE_CAP) -> bool:
     """True iff every shadow with target N is settled (source = target).
 
     ``shadow_source`` returns the target object itself exactly when a

@@ -340,6 +340,20 @@ def test_bad_input_exits_two_with_one_line(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["shadows", "cat02", "--json", "TMP/missing/out.json"],
+    ["validate", "cat02", "--json", "TMP"],
+    ["catalog", "--max-degree", "3", "--save-dir", "cat02"],
+], ids=["json-into-missing-dir", "json-onto-dir", "save-dir-onto-file"])
+def test_unwritable_output_path_exits_two_with_one_line(files, tmp_path, capsys, argv):
+    argv = [files.get(a, a.replace("TMP", str(tmp_path))) for a in argv]
+    code = run_command([*argv, "--cache-dir", str(tmp_path / "c")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("command, target, other", [
     ("reduce", "cat04", "cat02"),  # other is coarser than the target
     ("survive", "cat02", "cat04"),  # other is finer than the target
@@ -561,3 +575,40 @@ def test_command_sweep_bytes_are_frozen(files, tmp_path, cat09, cat10, capsys):
         text = text.replace(str(tmp_path), "TMP")
         digest.update(text.encode())
     assert digest.hexdigest() == _SWEEP_DIGEST
+
+
+# sha256 over the sweep's commands again, plus what the sweep above does not
+# pin: `validate`'s line and --json document, the stdout of every --json run
+# (its `wrote PATH` line), the files `catalog --save-dir` writes, and the
+# sorted names of the cache files the commands create
+_SIDE_DIGEST = "f0a06428c136e19b6deb9d8b20395b8cd51c266304fc1362f4ade3b521d6faef"
+
+
+def test_command_side_outputs_are_frozen(files, tmp_path, cat09, cat10, capsys):
+    paths = dict(files)
+    for N in (cat09, cat10):
+        paths[N.label] = str(tmp_path / f"{N.label}.json")
+        save_doc(paths[N.label], subgroup_doc(N))
+    labels = ["pb3", "cat00", "cat01", "cat02", "cat03", "cat04", "cat09", "cat10"]
+    out = tmp_path / "out.json"
+    cache = tmp_path / "c"
+    saved = tmp_path / "saved"
+    lines = [["validate", a] for a in labels] + _command_lines(labels, labels[:6])
+    lines.append(["catalog", "--max-degree", "4", "--save-dir", str(saved)])
+    records = []
+    for line in lines:
+        argv = [paths.get(a, a) for a in line] + ["--cache-dir", str(cache)]
+        human = run_command(argv)
+        human_out = capsys.readouterr().out
+        out.unlink(missing_ok=True)
+        machine = run_command(argv + ["--json", str(out)])
+        machine_out = capsys.readouterr().out
+        doc = out.read_text(encoding="utf-8") if out.exists() else ""
+        records.append([line, human, human_out, machine, machine_out, doc])
+    records.append({p.name: p.read_text(encoding="utf-8") for p in sorted(saved.iterdir())})
+    records.append(sorted(os.listdir(cache)))
+    text = json.dumps(records)
+    for label in labels:
+        text = text.replace(paths[label], label)
+    text = text.replace(str(tmp_path), "TMP")
+    assert hashlib.sha256(text.encode()).hexdigest() == _SIDE_DIGEST
