@@ -21,7 +21,9 @@ BRAIDSHADOW_CACHE variable.
 
 Every subcommand has one shape: ``_cmd_NAME(args)`` loads its files,
 computes (through the cache where the work is long) and returns
-``(document, lines)`` without printing.  :func:`run_command` then writes
+``(document, lines)`` without printing; a cached command's lines are made
+from the document by a function it hands to the cache, so an entry the
+command cannot read is recomputed.  :func:`run_command` then writes
 the document to ``--json PATH`` and prints ``wrote PATH``, or prints the
 lines.
 
@@ -166,13 +168,17 @@ def _cache_get(path: str, key: str):
     return payload
 
 
-def _cached(args, content: dict, compute):
-    """The payload for ``content``, read from the cache or computed and stored.
+def _cached(args, content: dict, compute, render) -> tuple[dict, list[str]]:
+    """The payload for ``content``, read from the cache or computed and
+    stored, with the lines ``render`` makes of it.
 
     The key holds the command name and the caps besides ``content``, so a
     result computed by one command, or under one cap, is never printed by
-    another command or under a cap that would refuse the work.  A new entry
-    is written to a temporary file and renamed into place.
+    another command or under a cap that would refuse the work.  An entry
+    that passes :func:`_cache_get` but that ``render`` cannot read (a
+    payload rewritten together with its ``sha256``) is recomputed and
+    overwritten too; errors from a fresh computation propagate.  A new
+    entry is written to a temporary file and renamed into place.
     """
     key = _sha256({
         "schema": 1,
@@ -187,7 +193,10 @@ def _cached(args, content: dict, compute):
     path = os.path.join(cdir, key + ".json")
     payload = _cache_get(path, key)
     if payload is not None:
-        return payload
+        try:
+            return payload, render(payload)
+        except (KeyError, TypeError, IndexError, AttributeError):
+            pass
     payload = compute()
     os.makedirs(cdir, exist_ok=True)
     wrapper = {"key": key, "sha256": _sha256(payload), "payload": payload}
@@ -200,7 +209,7 @@ def _cached(args, content: dict, compute):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-    return payload
+    return payload, render(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -238,25 +247,16 @@ def _cmd_validate(args) -> tuple[dict, list[str]]:
 def _cmd_info(args) -> tuple[dict, list[str]]:
     N = _load(args, args.file)
     d = N.data
-    doc = {
-        "label": N.label,
-        "degree": N.degree,
-        "b3_order": d.b3_quotient.order,
-        "n_ord": d.n_ord,
-        "index_pb3": d.index_pb3,
-        "index_f2": d.index_f2,
-        "commutator_order": d.f2_commutator.order,
-    }
-    lines = [
-        f"label: {N.label}",
-        f"degree: {N.degree}",
-        f"|B3/N| = {d.b3_quotient.order}",
-        f"N_ord = {d.n_ord}",
-        f"index_pb3 = {d.index_pb3}",
-        f"index_f2 = {d.index_f2}",
-        f"|[F2/N_F2, F2/N_F2]| = {d.f2_commutator.order}",
-    ]
-    return doc, lines
+    facts = (  # (document key, line prefix, value)
+        ("label", "label: ", N.label),
+        ("degree", "degree: ", N.degree),
+        ("b3_order", "|B3/N| = ", d.b3_quotient.order),
+        ("n_ord", "N_ord = ", d.n_ord),
+        ("index_pb3", "index_pb3 = ", d.index_pb3),
+        ("index_f2", "index_f2 = ", d.index_f2),
+        ("commutator_order", "|[F2/N_F2, F2/N_F2]| = ", d.f2_commutator.order),
+    )
+    return {key: value for key, _, value in facts}, [f"{text}{value}" for _, text, value in facts]
 
 
 def _shadow_set_doc(args, N: NfiSubgroup) -> dict:
@@ -270,13 +270,16 @@ def _shadow_set_doc(args, N: NfiSubgroup) -> dict:
 
 def _cmd_shadows(args) -> tuple[dict, list[str]]:
     N = _load(args, args.file)
-    doc = _cached(args, {"subgroup": subgroup_doc(N)}, lambda: _shadow_set_doc(args, N))
-    lines = [f"target {doc['target']}: {len(doc['shadows'])} shadows (N_ord {doc['n_ord']})"]
-    for sd in doc["shadows"]:
-        lines.append(
-            f"  m={sd['m']} f={sd['f'] or '1'} source={sd['source_label']}"
-        )
-    return doc, lines
+
+    def render(doc):
+        lines = [f"target {doc['target']}: {len(doc['shadows'])} shadows (N_ord {doc['n_ord']})"]
+        for sd in doc["shadows"]:
+            lines.append(
+                f"  m={sd['m']} f={sd['f'] or '1'} source={sd['source_label']}"
+            )
+        return lines
+
+    return _cached(args, {"subgroup": subgroup_doc(N)}, lambda: _shadow_set_doc(args, N), render)
 
 
 def _component_doc(args, N: NfiSubgroup) -> dict:
@@ -296,24 +299,26 @@ def _component_doc(args, N: NfiSubgroup) -> dict:
 
 def _cmd_component(args) -> tuple[dict, list[str]]:
     N = _load(args, args.file)
-    doc = _cached(args, {"subgroup": subgroup_doc(N)}, lambda: _component_doc(args, N))
-    n_morph = sum(len(v) for v in doc["morphisms"].values())
-    lines = [
-        f"component of {N.label}: {len(doc['objects'])} objects, "
-        f"{n_morph} morphisms, isolated={doc['isolated']}",
-        f"diamond: {doc['diamond']['label']} (degree {doc['diamond']['degree']})",
-    ]
-    return doc, lines
+
+    def render(doc):
+        n_morph = sum(len(v) for v in doc["morphisms"].values())
+        return [
+            f"component of {N.label}: {len(doc['objects'])} objects, "
+            f"{n_morph} morphisms, isolated={doc['isolated']}",
+            f"diamond: {doc['diamond']['label']} (degree {doc['diamond']['degree']})",
+        ]
+
+    return _cached(args, {"subgroup": subgroup_doc(N)}, lambda: _component_doc(args, N), render)
 
 
 def _cmd_diamond(args) -> tuple[dict, list[str]]:
     N = _load(args, args.file)
-    doc = _cached(
+    return _cached(
         args,
         {"subgroup": subgroup_doc(N)},
         lambda: subgroup_doc(diamond(N, args.max_candidates)),
+        lambda doc: [f"diamond of {N.label}: {doc['label']} (degree {doc['degree']})"],
     )
-    return doc, [f"diamond of {N.label}: {doc['label']} (degree {doc['degree']})"]
 
 
 def _cmd_reduce(args) -> tuple[dict, list[str]]:
@@ -356,7 +361,13 @@ def _cmd_genuine(args) -> tuple[dict, list[str]]:
             ),
         }
 
-    doc = _cached(
+    def render(doc):
+        lines = [f"verdict: {doc['verdict']} (checked {len(doc['checked'])} subgroups)"]
+        if doc["witness"]:
+            lines.append(f"witness: {doc['witness']}")
+        return lines
+
+    return _cached(
         args,
         {
             "subgroup": subgroup_doc(N),
@@ -365,11 +376,8 @@ def _cmd_genuine(args) -> tuple[dict, list[str]]:
             "max_degree": args.max_degree,
         },
         compute,
+        render,
     )
-    lines = [f"verdict: {doc['verdict']} (checked {len(doc['checked'])} subgroups)"]
-    if doc["witness"]:
-        lines.append(f"witness: {doc['witness']}")
-    return doc, lines
 
 
 def _cmd_catalog(args) -> tuple[dict, list[str]]:
@@ -389,23 +397,25 @@ def _cmd_catalog(args) -> tuple[dict, list[str]]:
             )
         return {"max_degree": args.max_degree, "entries": out}
 
-    doc = _cached(args, {"max_degree": args.max_degree}, compute)
-    lines = [f"catalog (degree <= {doc['max_degree']}): {len(doc['entries'])} kernels"]
-    for entry in doc["entries"]:
-        lines.append(
-            f"  {entry['subgroup']['label']}: degree={entry['subgroup']['degree']} "
-            f"index_pb3={entry['index_pb3']} index_f2={entry['index_f2']} "
-            f"n_ord={entry['n_ord']} |GT|={entry['gt_count']}"
-        )
-    if args.save_dir:
-        os.makedirs(args.save_dir, exist_ok=True)
+    def render(doc):
+        lines = [f"catalog (degree <= {doc['max_degree']}): {len(doc['entries'])} kernels"]
         for entry in doc["entries"]:
-            path = os.path.join(
-                args.save_dir, entry["subgroup"]["label"] + ".json"
+            lines.append(
+                f"  {entry['subgroup']['label']}: degree={entry['subgroup']['degree']} "
+                f"index_pb3={entry['index_pb3']} index_f2={entry['index_f2']} "
+                f"n_ord={entry['n_ord']} |GT|={entry['gt_count']}"
             )
-            save_doc(path, entry["subgroup"])
-        lines.append(f"saved {len(doc['entries'])} subgroup files to {args.save_dir}")
-    return doc, lines
+        if args.save_dir:
+            os.makedirs(args.save_dir, exist_ok=True)
+            for entry in doc["entries"]:
+                path = os.path.join(
+                    args.save_dir, entry["subgroup"]["label"] + ".json"
+                )
+                save_doc(path, entry["subgroup"])
+            lines.append(f"saved {len(doc['entries'])} subgroup files to {args.save_dir}")
+        return lines
+
+    return _cached(args, {"max_degree": args.max_degree}, compute, render)
 
 
 def _cmd_mainline(args) -> tuple[dict, list[str]]:
@@ -429,7 +439,16 @@ def _cmd_mainline(args) -> tuple[dict, list[str]]:
             ],
         }
 
-    doc = _cached(
+    def render(doc):
+        lines = [
+            f"main line: {len(doc['objects'])} objects, {len(doc['edges'])} edges, "
+            f"limit size {len(doc['limit'])}"
+        ]
+        for obj, group in zip(doc["objects"], doc["groups"]):
+            lines.append(f"  {obj['label']}: |GT| = {len(group)}")
+        return lines
+
+    return _cached(
         args,
         {
             "subgroups": sorted(
@@ -438,14 +457,8 @@ def _cmd_mainline(args) -> tuple[dict, list[str]]:
             ),
         },
         compute,
+        render,
     )
-    lines = [
-        f"main line: {len(doc['objects'])} objects, {len(doc['edges'])} edges, "
-        f"limit size {len(doc['limit'])}"
-    ]
-    for obj, group in zip(doc["objects"], doc["groups"]):
-        lines.append(f"  {obj['label']}: |GT| = {len(group)}")
-    return doc, lines
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ tabulated by ``hom_into`` (:func:`_e_map`), and the same map decides
 whether a shadow is settled (:func:`_is_settled`).  No word is substituted; a
 result's word is the one its quotient's ``f2_commutator`` spells.
 
-The k-th powers, k = 2m+1, that T and E are made of depend on (N, m) and not
-on f.  :func:`_powers` reads them off the quotients' generator rows once per
-unit m and keeps them on N, so a shadow forms only the products that
-involve its own F.
+The k-th powers, k = 2m+1, that T is made of depend on (N, m) and not on f.
+:func:`_powers` reads them off B3/N's generator rows once per unit m and
+keeps them on N, so a shadow forms only the products that involve its own
+F.  E is T restricted to F2 = <x = sigma_1^2, y = sigma_2^2>, so its
+generator images are the squares of T's.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .errors import (
     SourceTargetMismatchError,
 )
 from .perms import GenHom, Permutation, is_generating_set
-from .subgroups import NfiSubgroup, QuotientData, new_nfi, nfi_equal
+from .subgroups import NfiSubgroup, QuotientData, nfi_equal
 from .words import (
     C_WORD,
     SIGMA1,
@@ -192,14 +193,13 @@ def is_shadow(N: NfiSubgroup, m: int, f: FreeWord) -> bool:
 
 class _Powers(NamedTuple):
     """What every shadow (m, f) with target N reads, k = 2m+1: sigma_1^k,
-    sigma_2^k and c^k in B3/N; x^k, y^k, the index of (c^r)^k (r =
-    ``c_period``) and the right table of x^k in F2/N_F2."""
+    sigma_2^k and c^k in B3/N; the index of (c^r)^k (r = ``c_period``) and
+    the right table of x^k = (sigma_1^k)^2 in F2/N_F2.  y^k is not kept:
+    E's image of y is the square of T's image of sigma_2 (:func:`_e_map`)."""
 
     g1: Permutation
     g2: Permutation
     c: Permutation
-    x: Permutation
-    y: Permutation
     cr: int
     x_table: list[int]
 
@@ -216,14 +216,14 @@ def _along(rows: list[list[int]], steps: int) -> int:
 def _powers(N: NfiSubgroup, m: int) -> _Powers:
     """The :class:`_Powers` of (N, m), m reduced mod N_ord; none involves f.
 
-    Each power is an element the quotient already holds, read off its
-    generator rows with no product formed: sigma_i^k is k steps along
-    ``b3_quotient.right[i]``, c^k = Delta^(2k) = (sigma_1 sigma_2)^(3k) is
-    6k steps along both rows in turn, and x^k and y^k are steps along
-    ``f2_quotient.right``.  x, y and c have orders dividing N_ord, so their
-    exponents are reduced mod N_ord first.  x^k's table is
-    ``f2_quotient.right[0]`` itself when x^k = x.  Kept on N for a unit k
-    only, so N holds at most one entry per unit residue mod N_ord.
+    Each power is an element B3/N already holds, read off its generator
+    rows with no product formed: sigma_i^k is k steps along
+    ``b3_quotient.right[i]``, and c^k = Delta^(2k) = (sigma_1 sigma_2)^(3k)
+    is 6k steps along both rows in turn; c has order dividing N_ord, so its
+    exponent is reduced mod N_ord first.  x^k is the one product,
+    sigma_1^k sigma_1^k, and its table is ``f2_quotient.right[0]`` itself
+    when x^k = x.  Kept on N for a unit k only, so N holds at most one
+    entry per unit residue mod N_ord.
     """
     pw = N._powers.get(m)
     if pw is not None:
@@ -231,16 +231,14 @@ def _powers(N: NfiSubgroup, m: int) -> _Powers:
     d = N.data
     n, k = d.n_ord, 2 * m + 1
     b, q = d.b3_quotient, d.f2_quotient
-    b_at, q_at = b.elements_in_order, q.elements_in_order
-    x = q_at[_along(q.right[:1], k % n)]
+    b_at = b.elements_in_order
+    g1 = b_at[_along(b.right[:1], k)]
     pw = _Powers(
-        g1=b_at[_along(b.right[:1], k)],
+        g1=g1,
         g2=b_at[_along(b.right[1:], k)],
         c=b_at[_along(b.right, 6 * (k % n))],
-        x=x,
-        y=q_at[_along(q.right[1:], k % n)],
         cr=q.index_of(b_at[_along(b.right, 6 * (d.c_period * k % n))]),
-        x_table=q._right_table(x),
+        x_table=q._right_table(g1 * g1),
     )
     if math.gcd(k, n) == 1:
         N._powers[m] = pw
@@ -281,8 +279,9 @@ def shadow_source(s: GtShadow) -> NfiSubgroup:
     A settled shadow (kernel equal to its target) gets the target object
     itself, so every morphism on one object lives in one realization and
     inverses stay comparable to the originals.  Only an unsettled kernel
-    is built and checked as a new subgroup; a settled one is N, and
-    N <= PB3.
+    is built as a new subgroup, around the homomorphism :func:`t_hom`
+    checked, so the braid relation is tested once; ``NfiSubgroup`` checks
+    that the kernel lies in PB3.  A settled one is N, and N <= PB3.
 
     Settledness is decided on F2/N_F2, which is 6r times smaller than B3/N
     (:func:`_is_settled`).  With k = 2m+1, E = E_{m,f}: x -> x^k,
@@ -315,8 +314,8 @@ def shadow_source(s: GtShadow) -> NfiSubgroup:
             f_text = word_to_text(s.f_word) or "1"
             if len(f_text) > 24:
                 f_text = f_text[:21] + "..."
-            s._source = new_nfi(
-                hom.images, label=f"{s.target.label}<-({s.m},{f_text})", max_group_size=cap
+            s._source = NfiSubgroup(
+                hom, label=f"{s.target.label}<-({s.m},{f_text})", max_group_size=cap
             )
     return s._source
 
@@ -424,13 +423,15 @@ def enumerate_shadows(
 def _e_map(s: GtShadow, source: NfiSubgroup) -> list[int] | None:
     """E_{m,f}: x -> x^(2m+1), y -> F^-1 y^(2m+1) F (F: f's image), from
     ``source``'s F2/K_F2 into F2/N_F2, on indices, or None if it is not
-    well defined.  Tabulated and checked by ``hom_into``, which reads x^k's
-    right table from :func:`_powers` and builds only F^-1 y^k F's;
+    well defined.  E is T on F2, so its images are the squares of T's:
+    x^k = (sigma_1^k)^2 and F^-1 y^k F = (F^-1 sigma_2^k F)^2.  Tabulated and
+    checked by ``hom_into``, which reads x^k's right table from
+    :func:`_powers` and builds only F^-1 y^k F's;
     :func:`~braidshadow.words.e_endo` is the word reference.
     """
     pw = _powers(s.target, s.m)
-    ey = s.f_elt.inverse() * pw.y * s.f_elt
-    return source.data.f2_quotient.hom_into(s.target.data.f2_quotient, (pw.x_table, ey))
+    t2 = s.f_elt.inverse() * pw.g2 * s.f_elt
+    return source.data.f2_quotient.hom_into(s.target.data.f2_quotient, (pw.x_table, t2 * t2))
 
 
 def _e_table(s: GtShadow, source: NfiSubgroup) -> list[int]:

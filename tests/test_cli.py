@@ -439,6 +439,37 @@ def test_cache_survives_corruption(files, tmp_path, capsys, junk):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, edit",
+    [
+        ("shadows", lambda payload: payload.pop("n_ord")),
+        ("shadows", lambda payload: payload.update(shadows=5)),
+        ("component", lambda payload: payload.update(morphisms=[])),
+    ],
+    ids=["missing-key", "shadows-number", "morphisms-list"],
+)
+def test_cache_entry_the_command_cannot_read_is_recomputed(
+    files, tmp_path, capsys, command, edit
+):
+    # the payload is rewritten with a matching sha256, so only the
+    # command's own reading of it can tell
+    cache = tmp_path / "c"
+    argv = [command, files["cat04"], "--cache-dir", str(cache)]
+    assert run_command(argv) == 0
+    cold = capsys.readouterr().out
+    fresh = {entry.name: entry.read_bytes() for entry in cache.iterdir()}
+    for entry in cache.iterdir():
+        wrapper = json.loads(entry.read_text(encoding="utf-8"))
+        edit(wrapper["payload"])
+        wrapper["sha256"] = hashlib.sha256(
+            json.dumps(wrapper["payload"], sort_keys=True).encode()
+        ).hexdigest()
+        entry.write_text(json.dumps(wrapper), encoding="utf-8")
+    assert run_command(argv) == 0
+    assert capsys.readouterr() == (cold, "")
+    assert {entry.name: entry.read_bytes() for entry in cache.iterdir()} == fresh
+
+
 def test_cache_key_holds_the_caps(files, tmp_path, capsys):
     # an entry written by an uncapped run must not answer a capped one
     cache = str(tmp_path / "c")

@@ -655,12 +655,39 @@ def test_powers_are_the_k_th_powers(catalog7, cat09, cat10):
             k = 2 * m + 1
             p = _powers(N, m)
             assert (p.g1, p.g2, p.c) == (g1**k, g2**k, d.c_image**k), (N.label, m)
-            assert (p.x, p.y) == (d.x_image**k, d.y_image**k), (N.label, m)
+            assert (p.g1 * p.g1, p.g2 * p.g2) == (d.x_image**k, d.y_image**k), (N.label, m)
             assert p.cr == q.index_of(d.c_period_image**k), (N.label, m)
             assert p.x_table == q._right_table(d.x_image**k), (N.label, m)
         units = {m for m in range(d.n_ord) if math.gcd(2 * m + 1, d.n_ord) == 1}
         assert set(N._powers) == units, N.label
         assert all(_powers(N, m) is N._powers[m] for m in units)
+
+
+def test_unsettled_source_reuses_the_checked_t(monkeypatch, cat09, cat10):
+    # t_hom's GenHom becomes the source's homomorphism, so the braid
+    # relation is checked once per source (a second GenHom per unsettled
+    # source would make 18 for cat09's 12 shadows).  Fresh realizations,
+    # so no memo answers early.
+    built = []
+    original = GenHom.__post_init__
+
+    def counting(hom):
+        built.append(hom)
+        original(hom)
+
+    monkeypatch.setattr(GenHom, "__post_init__", counting)
+    for N in (cat09, cat10):
+        N = new_nfi(N.hom.images, label=N.label)
+        shadows = enumerate_shadows(N)
+        unsettled = 0
+        for s in shadows:
+            built.clear()
+            source = shadow_source(s)
+            assert len(built) == 1, s
+            if source is not N:
+                unsettled += 1
+                assert source.hom is built[0]
+        assert (len(shadows), unsettled) == (12, 6), N.label
 
 
 def counting_right_tables(monkeypatch):
@@ -740,8 +767,9 @@ def test_component_reads_each_power_once(monkeypatch):
     assert fills == ms == [0, 1, 3, 4]
     q = N.data.f2_quotient
     gens = set(q.generators)
-    ey = [s.f_elt.inverse() * N._powers[s.m].y * s.f_elt for s in shadows]
-    expected = sum(e not in gens for e in ey) + sum(N._powers[m].x not in gens for m in ms)
+    t2 = [s.f_elt.inverse() * N._powers[s.m].g2 * s.f_elt for s in shadows]
+    ex = [N._powers[m].g1 * N._powers[m].g1 for m in ms]
+    expected = sum(t * t not in gens for t in t2) + sum(x not in gens for x in ex)
     assert all(group is q for group in built)
     assert len(built) == expected == 22
 
