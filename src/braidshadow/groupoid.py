@@ -113,13 +113,10 @@ def diamond(
 ) -> NfiSubgroup:
     """Intersection of all objects in N's component; always isolated.
 
-    Both halves of the contract are rechecked before returning: the result
-    is contained in N and its own shadows are all settled.
+    :func:`connected_component` has checked that the intersection lies
+    below every object, N among them; its isolation is rechecked here.
     """
-    report = connected_component(N, max_candidates)
-    result = report.diamond
-    if not nfi_contains(result, N):
-        raise InternalInconsistencyError("diamond is not contained in N")
+    result = connected_component(N, max_candidates).diamond
     if not is_isolated(result, max_candidates):
         raise InternalInconsistencyError("diamond failed the isolation recheck")
     return result

@@ -9,9 +9,10 @@ relations hold mod N and the induced endomorphism
 maps B3 onto B3/N.  The kernel of T is the shadow's source; composition and
 inversion below make the collection of all shadows a groupoid over the poset
 of targets.  Both apply one map to elements: E_{m,f} on F2 cosets,
-tabulated by ``hom_into`` (:func:`_e_map`), and the same map decides
-whether a shadow is settled (:func:`_is_settled`).  No word is substituted; a
-result's word is the one its quotient's ``f2_commutator`` spells.
+tabulated by ``hom_into`` (:func:`_e_map`) from T's checked image of
+sigma_2, and the same map decides whether a shadow is settled
+(:func:`_settled_e_map`).  No word is substituted; a result's word is the
+one its quotient's ``f2_commutator`` spells.
 
 The k-th powers, k = 2m+1, that T is made of depend on (N, m) and not on f.
 :func:`_powers` reads them off B3/N's generator rows once per unit m and
@@ -60,9 +61,9 @@ class GtShadow:
     is printed, and what the word-level references substitute) and its
     image in F2/N_F2.  Two shadows are the same morphism iff their targets, m
     residues and f images agree; the word is just a representative.
-    ``_e_own`` keeps the E map out of the target's own F2/N_F2 of a
-    shadow that :func:`_is_settled` found settled, for :func:`_e_table` to
-    reuse; an unsettled shadow keeps none.
+    :func:`shadow_source` alone writes ``_source`` and ``_e_own``, the E
+    map out of the target's own F2/N_F2 of a shadow it found settled, for
+    :func:`_e_table` to reuse; an unsettled shadow keeps none.
     """
 
     __slots__ = ("target", "m", "f_word", "f_elt", "_source", "_e_own")
@@ -284,9 +285,11 @@ def shadow_source(s: GtShadow) -> NfiSubgroup:
     that the kernel lies in PB3.  A settled one is N, and N <= PB3.
 
     Settledness is decided on F2/N_F2, which is 6r times smaller than B3/N
-    (:func:`_is_settled`).  With k = 2m+1, E = E_{m,f}: x -> x^k,
-    y -> F^-1 y^k F (F: f's image), and r = ``c_period``, the least r >= 1
-    with c^r in F2/N_F2, the shadow is settled iff
+    (:func:`_settled_e_map`, given T's image of sigma_2), and a settled
+    shadow keeps the E map that decided it.  With k = 2m+1,
+    E = E_{m,f}: x -> x^k, y -> F^-1 y^k F (F: f's image), and
+    r = ``c_period``, the least r >= 1 with c^r in F2/N_F2, the shadow is
+    settled iff
 
     1. E is a well-defined, injective endomorphism of F2/N_F2;
     2. E(c^r) = c^(kr);
@@ -308,7 +311,8 @@ def shadow_source(s: GtShadow) -> NfiSubgroup:
     if s._source is None:
         hom = t_hom(s)
         cap = s.target.max_group_size
-        if _is_settled(s):
+        s._e_own = _settled_e_map(s, hom.images[1])
+        if s._e_own is not None:
             s._source = s.target
         else:
             f_text = word_to_text(s.f_word) or "1"
@@ -320,21 +324,21 @@ def shadow_source(s: GtShadow) -> NfiSubgroup:
     return s._source
 
 
-def _is_settled(s: GtShadow) -> bool:
-    """ker T = N, by the three conditions of :func:`shadow_source`, the
+def _settled_e_map(s: GtShadow, t2: Permutation) -> list[int] | None:
+    """E out of the target's own F2/N_F2 if ker T = N, else None; t2 is T's
+    image of sigma_2.  The three conditions of :func:`shadow_source`, the
     cheapest (gcd(k, r) = 1) first.  T(c) = c^k is :func:`t_hom`'s check;
-    (c^r)^k comes from :func:`_powers`.  A settled shadow keeps its E map."""
+    (c^r)^k comes from :func:`_powers`."""
     d = s.target.data
     if math.gcd(2 * s.m + 1, d.c_period) != 1:
-        return False
+        return None
     q = d.f2_quotient
-    a = _e_map(s, s.target)
+    a = _e_map(s, s.target, t2)
     if a is None or len(set(a)) != q.order:
-        return False
+        return None
     if a[q.index_of(d.c_period_image)] != _powers(s.target, s.m).cr:
-        return False
-    s._e_own = a
-    return True
+        return None
+    return a
 
 
 def _theta_hexagon(N: NfiSubgroup, big_f: Permutation) -> bool:
@@ -420,28 +424,30 @@ def enumerate_shadows(
     return list(N._shadows)
 
 
-def _e_map(s: GtShadow, source: NfiSubgroup) -> list[int] | None:
+def _e_map(s: GtShadow, source: NfiSubgroup, t2: Permutation) -> list[int] | None:
     """E_{m,f}: x -> x^(2m+1), y -> F^-1 y^(2m+1) F (F: f's image), from
     ``source``'s F2/K_F2 into F2/N_F2, on indices, or None if it is not
     well defined.  E is T on F2, so its images are the squares of T's:
-    x^k = (sigma_1^k)^2 and F^-1 y^k F = (F^-1 sigma_2^k F)^2.  Tabulated and
-    checked by ``hom_into``, which reads x^k's right table from
-    :func:`_powers` and builds only F^-1 y^k F's;
-    :func:`~braidshadow.words.e_endo` is the word reference.
+    x^k = (sigma_1^k)^2 and F^-1 y^k F = t2^2, t2 = F^-1 sigma_2^k F being
+    T's image of sigma_2 as :func:`t_hom` formed it.  Tabulated and checked
+    by ``hom_into``, which reads x^k's right table from :func:`_powers` and
+    builds only F^-1 y^k F's; :func:`~braidshadow.words.e_endo` is the word
+    reference.
     """
-    pw = _powers(s.target, s.m)
-    t2 = s.f_elt.inverse() * pw.g2 * s.f_elt
-    return source.data.f2_quotient.hom_into(s.target.data.f2_quotient, (pw.x_table, t2 * t2))
+    x_table = _powers(s.target, s.m).x_table
+    return source.data.f2_quotient.hom_into(s.target.data.f2_quotient, (x_table, t2 * t2))
 
 
 def _e_table(s: GtShadow, source: NfiSubgroup) -> list[int]:
     """:func:`_e_map` as a bijection from ``source``'s F2/K_F2 onto F2/N_F2;
     ``source`` is any realization of K = source(s).  Out of the target
-    itself, the map :func:`_is_settled` built is reused."""
+    itself, the map :func:`shadow_source` kept for a settled shadow is
+    reused; otherwise (an identity shadow, another realization, an
+    unsettled source) E is built from :func:`t_hom`'s image of sigma_2."""
     quotient = s.target.data.f2_quotient
     a = s._e_own if source is s.target else None
     if a is None:
-        a = _e_map(s, source)
+        a = _e_map(s, source, t_hom(s).images[1])
     if a is None or len(a) != quotient.order or len(set(a)) != quotient.order:
         raise InternalInconsistencyError(
             f"induced map on F2 cosets is not a bijection for {s!r}"

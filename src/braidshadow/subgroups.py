@@ -199,12 +199,12 @@ def nfi_equal(N: NfiSubgroup, K: NfiSubgroup) -> bool:
 def nfi_intersect(
     subgroups: list[NfiSubgroup],
     label: str = "",
-    max_group_size: int | None = None,
 ) -> NfiSubgroup:
-    """Intersection of kernels: the block-diagonal homomorphism."""
+    """Intersection of kernels: the block-diagonal homomorphism, under the
+    largest of the inputs' group-size caps."""
     if not subgroups:
         raise ValueError("nfi_intersect needs at least one subgroup")
-    cap = max_group_size or max(s.max_group_size for s in subgroups)
+    cap = max(s.max_group_size for s in subgroups)
     g1 = block_sum(*(s.hom.images[0] for s in subgroups))
     g2 = block_sum(*(s.hom.images[1] for s in subgroups))
     if not label:
@@ -218,7 +218,6 @@ def nfi_intersect(
 def from_f2_quotient(
     psi_images: tuple[Permutation, Permutation],
     label: str = "",
-    max_group_size: int = DEFAULT_GROUP_SIZE_CAP,
 ) -> NfiSubgroup:
     """The normal core of ker(psi-tilde), for psi: F2 -> finite group.
 
@@ -233,7 +232,7 @@ def from_f2_quotient(
     subgroup of B3 inside PB3 whose F2-part is contained in ker(psi).
     """
     psi = GenHom(TAG_F2, tuple(psi_images))
-    image_group = generate_group(list(psi.images), tag=TAG_F2, max_size=max_group_size)
+    image_group = generate_group(list(psi.images), tag=TAG_F2)
     n = image_group.order
     n_labels = len(TRANSVERSAL_LABELS)
     label_pos = {lab: k for k, lab in enumerate(TRANSVERSAL_LABELS)}
@@ -252,7 +251,7 @@ def from_f2_quotient(
 
     if not label:
         label = f"core-{content_id(tuple(psi.images))[:8]}"
-    return new_nfi((action(0), action(1)), label=label, max_group_size=max_group_size)
+    return new_nfi((action(0), action(1)), label=label)
 
 
 # ---------------------------------------------------------------------------

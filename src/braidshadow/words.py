@@ -96,8 +96,8 @@ def empty_word(tag: str) -> FreeWord:
     return FreeWord(tag, ())
 
 
-def letter(tag: str, gen: int, sign: int = 1) -> FreeWord:
-    return FreeWord(tag, ((gen, sign),))
+def letter(tag: str, gen: int) -> FreeWord:
+    return FreeWord(tag, ((gen, 1),))
 
 
 # Named generator words used all over the place.
@@ -378,18 +378,18 @@ def artin_equal(u: FreeWord, v: FreeWord) -> bool:
     return _sl2z_key(u) == _sl2z_key(v)
 
 
-def random_word(rng, tag: str, max_len: int, n_gens: int = 2) -> FreeWord:
+def random_word(rng, tag: str, max_len: int) -> FreeWord:
     """Uniform-length random word; reduction may shorten it further."""
     length = rng.randrange(max_len + 1)
     letters = tuple(
-        (rng.randrange(n_gens), rng.choice((1, -1))) for _ in range(length)
+        (rng.randrange(2), rng.choice((1, -1))) for _ in range(length)
     )
     return FreeWord(tag, letters)
 
 
-def all_reduced_words(tag: str, max_len: int, n_gens: int = 2):
+def all_reduced_words(tag: str, max_len: int):
     """Yield every freely reduced word of length <= max_len (DFS order)."""
-    alphabet = [(g, s) for g in range(n_gens) for s in (1, -1)]
+    alphabet = [(g, s) for g in (0, 1) for s in (1, -1)]
     yield empty_word(tag)
 
     def rec(prefix: list[Letter], depth: int):

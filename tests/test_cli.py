@@ -281,6 +281,16 @@ def test_mainline(files, tmp_path, capsys):
     assert "cat04: |GT| = 6" in out
 
 
+def test_mainline_rejects_an_object_that_is_not_isolated(tmp_path, cat09, capsys):
+    path = str(tmp_path / "cat09.json")
+    save_doc(path, subgroup_doc(cat09))
+    code = run_command(["mainline", path, "--cache-dir", str(tmp_path / "c")])
+    assert code == 1
+    assert capsys.readouterr() == (
+        "", "error: main line requires isolated objects; cat09 is not\n"
+    )
+
+
 def test_mainline_level_over_the_cap_is_one_line(files, tmp_path, capsys):
     code = run_command(
         ["mainline", files["cat00"], files["cat02"], files["cat04"],
@@ -468,6 +478,25 @@ def test_cache_entry_the_command_cannot_read_is_recomputed(
     assert run_command(argv) == 0
     assert capsys.readouterr() == (cold, "")
     assert {entry.name: entry.read_bytes() for entry in cache.iterdir()} == fresh
+
+
+def test_cache_write_failure_exits_two_and_leaves_no_temporary_file(
+    files, tmp_path, capsys
+):
+    # a directory at the entry's path: the entry is a miss, and renaming
+    # the freshly written temporary file onto it fails
+    cache = tmp_path / "c"
+    argv = ["shadows", files["cat04"], "--cache-dir", str(cache)]
+    assert run_command(argv) == 0
+    capsys.readouterr()
+    [entry] = cache.iterdir()
+    entry.unlink()
+    entry.mkdir()
+    assert run_command(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert [p.name for p in cache.iterdir()] == [entry.name]
 
 
 def test_cache_key_holds_the_caps(files, tmp_path, capsys):

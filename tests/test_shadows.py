@@ -26,8 +26,8 @@ from braidshadow.shadows import (
     GtShadow,
     _e_map,
     _hexagon_points,
-    _is_settled,
     _powers,
+    _settled_e_map,
     _t_f2_onto,
     _tau_hexagon,
     _theta_hexagon,
@@ -459,7 +459,7 @@ def test_settled_criterion_matches_the_b3_tables_at_degree_seven(catalog7):
     for N in catalog7:
         for s in enumerate_shadows(N):
             settled = b3_table_settled(s)
-            assert _is_settled(s) == settled
+            assert (_settled_e_map(s, t_hom(s).images[1]) is not None) == settled
             assert (shadow_source(s) is N) == settled
             counts[settled] += 1
     assert counts == {True: 193, False: 12}
@@ -503,9 +503,9 @@ def test_settled_criterion_on_the_grid(pb3, catalog4, cat09):
                     continue
                 settled = kernels_equal(hom, N.hom)
                 s = GtShadow(N, m, EMPTY, F)
-                assert _is_settled(s) == settled
-                # only a settled shadow keeps its E map
-                assert (s._e_own is not None) == settled
+                assert (_settled_e_map(s, images[1]) is not None) == settled
+                # the test writes nothing on the shadow
+                assert s._source is None and s._e_own is None
                 seen.add((settled, math.gcd(k, d.n_ord) == 1, d.c_period))
     assert {(False, False, 3), (False, True, 1), (True, True, 3)} <= seen
 
@@ -625,16 +625,16 @@ def test_shadow_equality_semantics(catalog4):
 
 
 def test_settled_shadow_builds_its_e_map_once(monkeypatch, catalog4):
-    # _is_settled builds E out of the target; inverting and composing with
-    # the inverse reuse it instead of building it twice more
+    # shadow_source builds E out of the target; inverting and composing
+    # with the inverse reuse it instead of building it twice more
     N = catalog4[-1]
     a = next(t for t in enumerate_shadows(N) if t.m and not t.f_elt.is_identity())
     s = GtShadow(N, a.m, a.f_word, a.f_elt)
     calls = []
 
-    def counting(shadow, source):
+    def counting(shadow, source, t2):
         calls.append((shadow, source))
-        return _e_map(shadow, source)
+        return _e_map(shadow, source, t2)
 
     monkeypatch.setattr("braidshadow.shadows._e_map", counting)
     inverse = invert_shadow(s)
@@ -688,6 +688,42 @@ def test_unsettled_source_reuses_the_checked_t(monkeypatch, cat09, cat10):
                 unsettled += 1
                 assert source.hom is built[0]
         assert (len(shadows), unsettled) == (12, 6), N.label
+
+
+def test_source_inverts_f_once(monkeypatch, cat09):
+    # T's image of sigma_2, F^-1 sigma_2^k F, is formed once per source and
+    # the settledness test reads it off T; forming it again would invert F
+    # a second time.  A fresh realization, so no memo answers early.
+    N = new_nfi(cat09.hom.images, label=cat09.label)
+    shadows = enumerate_shadows(N)
+    inverted = []
+    original = Permutation.inverse
+
+    def counting(p):
+        inverted.append(p)
+        return original(p)
+
+    monkeypatch.setattr(Permutation, "inverse", counting)
+    for s in shadows:
+        inverted.clear()
+        shadow_source(s)
+        assert sum(p is s.f_elt for p in inverted) == 1, s
+    assert len(shadows) == 12
+
+
+def test_unsettled_source_label_truncates_a_long_f(cat09):
+    # f times [x^(13n), y], n = N_ord, which is trivial mod N_F2: the same
+    # shadow, spelled with more than 24 letters
+    N = new_nfi(cat09.hom.images, label=cat09.label)
+    s = next(t for t in enumerate_shadows(N) if shadow_source(t) is not N)
+    w = X ** (13 * N.data.n_ord)
+    f_word = s.f_word * w * Y * w.inv() * Y.inv()
+    assert N.data.f2_quotient.evaluate(f_word) == s.f_elt
+    text = word_to_text(f_word)
+    assert len(text) > 24
+    source = shadow_source(GtShadow(N, s.m, f_word, s.f_elt))
+    assert source.label == f"cat09<-({s.m},{text[:21]}...)"
+    assert nfi_equal(source, shadow_source(s))
 
 
 def counting_right_tables(monkeypatch):
