@@ -275,13 +275,17 @@ class GeneratedGroup:
         The map is spelled with :meth:`_walk` and checked on every edge of
         ``self.right``; None if an edge disagrees (no homomorphism extends
         the images) or an image lies outside ``other``.  Integer work only;
-        degrees may differ.
+        degrees may differ.  Without ``images`` the map would be onto
+        ``other``, so by Lagrange it is None, with no walk, unless |other|
+        divides |self|.
         """
         n = len(self.generators)
         count = len(other.generators) if images is None else len(images)
         if count != n:
             raise ValueError(f"need {n} generator images, got {count}")
         if images is None:
+            if self.order % other.order:
+                return None
             tables = other._table()
         elif any(isinstance(p, Permutation) and p not in other for p in images):
             return None
@@ -297,8 +301,9 @@ class GeneratedGroup:
     def maps_onto(self, other: "GeneratedGroup") -> bool:
         """Does generator i -> other.generators[i] extend to a homomorphism?
 
-        Such a map is onto.  For two quotients B3/N and B3/H by the same
-        generators, it exists exactly when N <= H.
+        Such a map is onto, so it needs |other| to divide |self|, which
+        :meth:`hom_into` tests before it walks.  For two quotients B3/N and
+        B3/H by the same generators, it exists exactly when N <= H.
         """
         return self.hom_into(other) is not None
 

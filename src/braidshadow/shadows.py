@@ -63,7 +63,10 @@ class GtShadow:
     residues and f images agree; the word is just a representative.
     :func:`shadow_source` alone writes ``_source`` and ``_e_own``, the E
     map out of the target's own F2/N_F2 of a shadow it found settled, for
-    :func:`_e_table` to reuse; an unsettled shadow keeps none.
+    :func:`_e_table` to reuse; an unsettled shadow keeps none.  A
+    ``source`` passed to the constructor is trusted as ker T, and when it
+    is not the target its homomorphism must be T itself, as it is for the
+    one that :func:`invert_shadow` passes.
     """
 
     __slots__ = ("target", "m", "f_word", "f_elt", "_source", "_e_own")
@@ -442,12 +445,24 @@ def _e_table(s: GtShadow, source: NfiSubgroup) -> list[int]:
     """:func:`_e_map` as a bijection from ``source``'s F2/K_F2 onto F2/N_F2;
     ``source`` is any realization of K = source(s).  Out of the target
     itself, the map :func:`shadow_source` kept for a settled shadow is
-    reused; otherwise (an identity shadow, another realization, an
-    unsettled source) E is built from :func:`t_hom`'s image of sigma_2."""
+    reused.  Out of s's own source, when that is not the target, T's image
+    of sigma_2 is read off the source's homomorphism, with no T formed:
+
+    - :func:`shadow_source` built an unsettled source around T's checked
+      ``GenHom`` itself;
+    - the inverse t of an unsettled s gets s's target N as its source, and
+      then T_t = N.hom.  K's realization is T_s, so sigma_1 goes to
+      (sigma_1^k)^k~ = sigma_1 (k k~ = 1 mod 2 N_ord, and sigma_1^2 has
+      order dividing N_ord), and t's f image is F^-1 as a permutation, so
+      sigma_2 goes to F (F^-1 sigma_2^k F)^k~ F^-1 = sigma_2.
+
+    Otherwise (an identity shadow, a settled inverse, another realization)
+    E is built from :func:`t_hom`'s image of sigma_2."""
     quotient = s.target.data.f2_quotient
     a = s._e_own if source is s.target else None
     if a is None:
-        a = _e_map(s, source, t_hom(s).images[1])
+        own = source is s._source and source is not s.target
+        a = _e_map(s, source, (source.hom if own else t_hom(s)).images[1])
     if a is None or len(a) != quotient.order or len(set(a)) != quotient.order:
         raise InternalInconsistencyError(
             f"induced map on F2 cosets is not a bijection for {s!r}"

@@ -31,8 +31,9 @@ from .perms import (
 )
 from .words import COSET_TABLE, TAG_B3, TAG_F2, TRANSVERSAL_LABELS, FreeWord
 
-# Six and no more: the search holds all n! permutations of each degree, and
-# the `catalog` command enumerates the shadows of every entry it finds.
+# Six and no more: the search takes seconds from degree 8 on, the `catalog`
+# command enumerates the shadows of every entry it finds, and at degree 9
+# some B3/N exceed the group-size cap.
 DEFAULT_CATALOG_DEGREE_LIMIT = 6
 
 
@@ -260,12 +261,16 @@ def from_f2_quotient(
 def _braid_pairs(degree: int):
     """The braid pairs (p, q), p q p = q p q, whose p is least of its type.
 
-    p q p = q p q forces q = (pq) p (pq)^-1, so q is tried only in p's
-    cycle-type bucket, and p is the bucket's first member: the least
-    permutation of that type, as ``itertools.permutations`` is
-    lexicographic.  Buckets go in the order of their first members.  The
-    relation is tested on the image tuples (p q p sends i to p[q[p[i]]]),
-    so the scan builds no product permutations.
+    p q p = q p q forces q = (pq) p (pq)^-1, so q is tried only against
+    the p of its own cycle type, and p is the type's first member: the
+    least permutation of that type, as ``itertools.permutations`` is
+    lexicographic.  One pass: each tuple is wrapped unchecked (it is a
+    bijection) and tested against its type's p on the image tuples (p q p
+    sends i to p[q[p[i]]]), and only the q that pass are kept, per type; p
+    pairs with itself, so it heads its type's list.  The types go out in
+    the order of their first members, so the pairs and their order are
+    those of a scan that buckets all n! permutations first, while only the
+    pairs stay in memory.
 
     ``catalog_search`` builds one candidate per relabelling class
     (:func:`_pair_class`), and restricting p loses no class and moves no
@@ -276,18 +281,15 @@ def _braid_pairs(degree: int):
     pairs there share one cycle type, whose least p that scan meets first.
     And the yielded pairs are a subsequence of that scan's.
     """
-    by_type: dict[tuple[int, ...], list[Permutation]] = {}
-    for t in itertools.permutations(range(degree)):
-        p = Permutation(t)
-        by_type.setdefault(tuple(sorted(p.cycle_lengths())), []).append(p)
     points = range(degree)
-    for bucket in by_type.values():
-        p = bucket[0]
-        a = p.images
-        for q in bucket:
-            b = q.images
-            if all(a[b[a[i]]] == b[a[b[i]]] for i in points):
-                yield p, q
+    by_type: dict[tuple[int, ...], list[Permutation]] = {}
+    for b in itertools.permutations(points):
+        q = Permutation._trusted(b)
+        partners = by_type.setdefault(tuple(sorted(q.cycle_lengths())), [])
+        a = partners[0].images if partners else b
+        if all(a[b[a[i]]] == b[a[b[i]]] for i in points):
+            partners.append(q)
+    yield from ((partners[0], q) for partners in by_type.values() for q in partners)
 
 
 def _relabel(p: tuple[int, ...], q: tuple[int, ...], start: int):

@@ -269,6 +269,30 @@ def test_survival_and_genuineness_walk_once_per_pair(monkeypatch, pb3, catalog4,
             assert calls == [(N.b3_quotient, H.b3_quotient) for N in catalog]
 
 
+def test_genuineness_walks_only_entries_of_divisible_order(monkeypatch, pb3, catalog4, cat09, cat10):
+    # N <= H needs |B3/H| to divide |B3/N| (Lagrange), so hom_into refuses
+    # the other entries before it walks; |B3/cat04| = 72
+    catalog = [pb3, *catalog4, cat09, cat10]
+    for N in catalog:
+        enumerate_shadows(N)
+    H = catalog4[4]
+    assert H.b3_quotient.order == 72
+    walked = []
+    original = GeneratedGroup._walk
+
+    def counting(self, tables, start=0):
+        walked.append(self)
+        return original(self, tables, start)
+
+    expected = [N.b3_quotient for N in catalog if N.b3_quotient.order % 72 == 0]
+    assert len(expected) < len(catalog)
+    monkeypatch.setattr(GeneratedGroup, "_walk", counting)
+    for s in enumerate_shadows(H):
+        walked.clear()
+        assert genuine_to_depth(s, catalog).kind == "not_fake_to_depth"
+        assert walked == expected
+
+
 def test_groupoid_operations_substitute_no_words(monkeypatch, pb3, cat09, cat10):
     def refuse(*args):
         raise AssertionError("word substitution reached")

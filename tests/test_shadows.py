@@ -25,6 +25,7 @@ from braidshadow.perms import (
 from braidshadow.shadows import (
     GtShadow,
     _e_map,
+    _e_table,
     _hexagon_points,
     _powers,
     _settled_e_map,
@@ -709,6 +710,78 @@ def test_source_inverts_f_once(monkeypatch, cat09):
         shadow_source(s)
         assert sum(p is s.f_elt for p in inverted) == 1, s
     assert len(shadows) == 12
+
+
+def test_inverting_reads_t_off_the_source(monkeypatch, cat09):
+    # an unsettled source wraps T's checked GenHom, and the inverse of an
+    # unsettled shadow has T = N.hom, so neither forms T again; a settled
+    # inverse does (6 of the 12 round trips' calls are its compose, 6 its
+    # invert).  A fresh realization, so no memo answers early.
+    N = new_nfi(cat09.hom.images, label=cat09.label)
+    shadows = enumerate_shadows(N)
+    for s in shadows:
+        shadow_source(s)
+    calls = []
+
+    def counting(s):
+        calls.append(s)
+        return t_hom(s)
+
+    monkeypatch.setattr("braidshadow.shadows.t_hom", counting)
+    inverses = [invert_shadow(s) for s in shadows]
+    assert len(calls) == 0
+    for s, t in zip(shadows, inverses):
+        assert compose_shadows(s, t) == identity_shadow(N)
+        assert compose_shadows(t, s) == identity_shadow(shadow_source(s))
+        assert invert_shadow(t) == s
+    assert len(calls) == 12
+
+
+def test_e_table_reads_t_off_an_unsettled_source(catalog7, cat09, cat10):
+    # the 24 unsettled shadows of these targets and their inverses: E read
+    # off the source's homomorphism is E built from a fresh T
+    targets = [*catalog7, cat09, cat10, nfi_intersect([cat09, cat10])]
+    unsettled = [
+        s for N in targets for s in enumerate_shadows(N) if shadow_source(s) is not N
+    ]
+    assert len(unsettled) == 24
+    for s in unsettled:
+        t = invert_shadow(s)
+        assert t_hom(t).images == s.target.hom.images
+        for u in (s, t):
+            source = shadow_source(u)
+            assert _e_table(u, source) == _e_map(u, source, t_hom(u).images[1])
+
+
+def _invariant_targets(catalog4, catalog7, cat09, cat10):
+    meets = [nfi_intersect([a, b]) for a, b in itertools.combinations(catalog4[1:], 2)]
+    return [*catalog7, cat09, cat10, *meets]
+
+
+def test_every_unit_m_has_the_same_number_of_shadows(catalog4, catalog7, cat09, cat10):
+    # the cyclotomic character of G_Q is onto, so every unit m has a
+    # shadow; m -> 2m+1 is multiplicative under the monoid law, so on an
+    # isolated N the fibres of GT(N) -> (Z/N_ord)^x are cosets of one
+    # kernel.  The non-isolated targets here show equal fibres too.
+    targets = _invariant_targets(catalog4, catalog7, cat09, cat10)
+    assert len(targets) == 23
+    for N in targets:
+        n = N.data.n_ord
+        units = [m for m in range(n) if math.gcd(2 * m + 1, n) == 1]
+        counts = {m: 0 for m in units}
+        for s in enumerate_shadows(N):
+            counts[s.m] += 1
+        assert len(set(counts.values())) == 1 and counts[0] > 0, (N.label, counts)
+
+
+def test_conjugation_and_the_identity_are_shadows(catalog4, catalog7, cat09, cat10):
+    # complex conjugation gives (m = -1, f = 1), and the identity (0, 1)
+    for N in _invariant_targets(catalog4, catalog7, cat09, cat10):
+        d = N.data
+        keys = {s.key() for s in enumerate_shadows(N)}
+        for m in (d.n_ord - 1, 0):
+            assert is_shadow(N, m, EMPTY), (N.label, m)
+            assert (m, d.f2_quotient.identity) in keys, (N.label, m)
 
 
 def test_unsettled_source_label_truncates_a_long_f(cat09):

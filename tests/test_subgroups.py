@@ -1,8 +1,10 @@
 import gc
 import hashlib
 import itertools
+import json
 import math
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -364,6 +366,49 @@ def test_catalog_degree_seven_is_frozen(cat09, cat10):
     ]
     assert cat7[9].hom.images == cat09.hom.images
     assert cat7[10].hom.images == cat10.hom.images
+
+
+def test_braid_pairs_are_frozen_at_degrees_six_to_eight():
+    # sha256 of the pair sequences as the scan that bucketed all n!
+    # permutations first yielded them
+    frozen = {
+        6: "2ce4ef83d0c65f17e2e10fbfbde82ba4d2d9d1ad95d956de335572de89f86c56",
+        7: "6e6d84505a1369edeedd62bd7b037530434975e43e7180eaf5476df796484635",
+        8: "092d2abb69c06de70754cb2a8b9769e7e89f5c960352fe1d8e5723e88d1a8a6d",
+    }
+    for degree, digest in frozen.items():
+        pairs = [[list(p.images), list(q.images)] for p, q in _braid_pairs(degree)]
+        assert hashlib.sha256(json.dumps(pairs).encode()).hexdigest() == digest, degree
+
+
+def test_braid_pair_scan_holds_only_the_pairs():
+    # degree 8 has 40,320 permutations but 604 pairs; holding every
+    # permutation peaked at about 7.4 MB
+    tracemalloc.start()
+    try:
+        pairs = list(_braid_pairs(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pairs) == 604
+    assert peak <= 1_000_000
+
+
+def test_catalog_degree_eight_is_frozen():
+    # content ids of catalog_search(8, degree_limit=8) as the scan that
+    # bucketed all n! permutations first found them
+    cat8 = catalog_search(8, degree_limit=8)
+    assert [N.content_id for N in cat8] == [
+        "61ec01df5cb7793c", "20aa53948e46f3e5", "6bb3f6f19e9c4905",
+        "16b8fdfc088644d1", "d7b31dcf039538fc", "c583f54b16550d45",
+        "b08d8463f0ab8898", "cabf674fc59c0445", "e0155a41f96dcc44",
+        "f086df01f0869896", "0715248457b02fe6", "198112c66f20c7ce",
+        "28484cf7ed0d1361", "d50f0010ebc131a6", "e8ed3ec71cdcae32",
+        "650f1fdaafef54b7", "b4d5133cac1d6f0a", "2ef2ad31c48b271b",
+        "a04f86807e4664dd", "02bb1b32fe17a06b", "6fd41d4f72e17a79",
+        "c835ee3e0d015fde", "5135f56010ae23e0", "8e0780a58b21ece8",
+        "fa02a77bb61a3b35",
+    ]
 
 
 def test_commutator_closure_is_frozen(catalog7, cat09, cat10):

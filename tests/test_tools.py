@@ -36,3 +36,26 @@ def test_code_lines_skips_docstrings_comments_and_layout(tmp_path):
     ).stdout
     rows = [line.split() for line in out.splitlines()]
     assert rows == [["a.py", "18", "6"], ["b.py", "1", "1"], ["total", "19", "7"]]
+
+
+def test_code_lines_compares_two_trees(tmp_path):
+    # per module: old lines and code lines, new ones, then the signed
+    # change; a module missing from one tree counts as 0 there
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    (old / "a.py").write_text(FIXTURE, encoding="utf-8")
+    (old / "b.py").write_text("x = 1\n", encoding="utf-8")
+    (new / "a.py").write_text(FIXTURE + "y = 2\n", encoding="utf-8")
+    (new / "c.py").write_text("# comment\nz = 3\n", encoding="utf-8")
+    out = subprocess.run(
+        [sys.executable, str(CODE_LINES), str(old), str(new)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    rows = [line.split() for line in out.splitlines()]
+    assert rows == [
+        ["a.py", "18", "6", "19", "7", "+1", "+1"],
+        ["b.py", "1", "1", "0", "0", "-1", "-1"],
+        ["c.py", "0", "0", "2", "1", "+2", "+1"],
+        ["total", "19", "7", "21", "8", "+2", "+1"],
+    ]

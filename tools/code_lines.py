@@ -4,6 +4,11 @@ A code line holds a token other than a comment, NL, NEWLINE, INDENT or
 DEDENT and lies outside every module, class and function docstring.
 
     python tools/code_lines.py [PACKAGE_DIR]    # default: src/braidshadow
+    python tools/code_lines.py OLD_DIR NEW_DIR
+
+Given two directories, each row holds the lines and code lines of OLD_DIR,
+then of NEW_DIR, then the signed change; a module missing from one tree
+counts as 0 there.
 """
 
 import ast
@@ -29,11 +34,19 @@ def count(path: Path) -> tuple[int, int]:
 
 
 def main(argv: list[str]) -> None:
-    root = Path(argv[0] if argv else "src/braidshadow")
-    rows = [(path.name, *count(path)) for path in sorted(root.glob("*.py"))]
-    rows.append(("total", sum(r[1] for r in rows), sum(r[2] for r in rows)))
-    for name, lines, code in rows:
-        print(f"{name:<16} {lines:>6} {code:>6}")
+    if len(argv) > 2:
+        raise SystemExit("usage: code_lines.py [PACKAGE_DIR | OLD_DIR NEW_DIR]")
+    roots = [Path(arg) for arg in argv] or [Path("src/braidshadow")]
+    trees = [{path.name: count(path) for path in sorted(root.glob("*.py"))} for root in roots]
+    names = sorted(set().union(*trees))
+    for tree in trees:
+        tree["total"] = (sum(n for n, _ in tree.values()), sum(c for _, c in tree.values()))
+    for name in [*names, "total"]:
+        cells = [tree.get(name, (0, 0)) for tree in trees]
+        row = "".join(f" {lines:>6} {code:>6}" for lines, code in cells)
+        if len(cells) == 2:
+            row += " {:>+6} {:>+6}".format(*(new - old for old, new in zip(*cells)))
+        print(f"{name:<16}{row}")
 
 
 if __name__ == "__main__":
