@@ -147,6 +147,9 @@ class GeneratedGroup:
     it on demand, over ``word_basis`` (== the generators, except for
     commutator subgroups, whose words are spelled over the parent group's
     alphabet so that they are literal commutator-subgroup words).
+    That order depends on the marked group alone, so every realization of
+    one kernel N gives B3/N, F2/N_F2 and its commutator subgroup the same
+    indices, trees, tables and words (a shadow's E table relies on it).
 
     ``right[g][i]`` is the index of ``elements_in_order[i] * generators[g]``:
     the group's right-multiplication table.  :meth:`_walk` is the one index

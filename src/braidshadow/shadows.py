@@ -61,15 +61,14 @@ class GtShadow:
     is printed, and what the word-level references substitute) and its
     image in F2/N_F2.  Two shadows are the same morphism iff their targets, m
     residues and f images agree; the word is just a representative.
-    :func:`shadow_source` alone writes ``_source`` and ``_e_own``, the E
-    map out of the target's own F2/N_F2 of a shadow it found settled, for
-    :func:`_e_table` to reuse; an unsettled shadow keeps none.  A
+    :func:`shadow_source` alone writes ``_source``; ``_e`` keeps the E
+    table of :func:`_e_table`, one for every realization of the source.  A
     ``source`` passed to the constructor is trusted as ker T, and when it
     is not the target its homomorphism must be T itself, as it is for the
     one that :func:`invert_shadow` passes.
     """
 
-    __slots__ = ("target", "m", "f_word", "f_elt", "_source", "_e_own")
+    __slots__ = ("target", "m", "f_word", "f_elt", "_source", "_e")
 
     def __init__(
         self,
@@ -84,7 +83,7 @@ class GtShadow:
         self.f_word = f_word
         self.f_elt = f_elt
         self._source = source
-        self._e_own: list[int] | None = None
+        self._e: list[int] | None = None
 
     def key(self) -> tuple[int, Permutation]:
         """The pair that identifies the shadow among those with one target."""
@@ -314,8 +313,8 @@ def shadow_source(s: GtShadow) -> NfiSubgroup:
     if s._source is None:
         hom = t_hom(s)
         cap = s.target.max_group_size
-        s._e_own = _settled_e_map(s, hom.images[1])
-        if s._e_own is not None:
+        s._e = _settled_e_map(s, hom.images[1])
+        if s._e is not None:
             s._source = s.target
         else:
             f_text = word_to_text(s.f_word) or "1"
@@ -441,12 +440,13 @@ def _e_map(s: GtShadow, source: NfiSubgroup, t2: Permutation) -> list[int] | Non
     return source.data.f2_quotient.hom_into(s.target.data.f2_quotient, (x_table, t2 * t2))
 
 
-def _e_table(s: GtShadow, source: NfiSubgroup) -> list[int]:
-    """:func:`_e_map` as a bijection from ``source``'s F2/K_F2 onto F2/N_F2;
-    ``source`` is any realization of K = source(s).  Out of the target
-    itself, the map :func:`shadow_source` kept for a settled shadow is
-    reused.  Out of s's own source, when that is not the target, T's image
-    of sigma_2 is read off the source's homomorphism, with no T formed:
+def _e_table(s: GtShadow) -> list[int]:
+    """:func:`_e_map` as a bijection from K = source(s)'s F2/K_F2 onto
+    F2/N_F2, built and checked once (a settled shadow's by
+    :func:`shadow_source`) and kept on s.  Every realization of K indexes
+    F2/K_F2 alike (:class:`~braidshadow.perms.GeneratedGroup`), so it
+    serves them all.  When K is not the target, T's image of sigma_2 is
+    read off K's homomorphism, with no T formed:
 
     - :func:`shadow_source` built an unsettled source around T's checked
       ``GenHom`` itself;
@@ -456,18 +456,16 @@ def _e_table(s: GtShadow, source: NfiSubgroup) -> list[int]:
       order dividing N_ord), and t's f image is F^-1 as a permutation, so
       sigma_2 goes to F (F^-1 sigma_2^k F)^k~ F^-1 = sigma_2.
 
-    Otherwise (an identity shadow, a settled inverse, another realization)
-    E is built from :func:`t_hom`'s image of sigma_2."""
-    quotient = s.target.data.f2_quotient
-    a = s._e_own if source is s.target else None
-    if a is None:
-        own = source is s._source and source is not s.target
-        a = _e_map(s, source, (source.hom if own else t_hom(s)).images[1])
-    if a is None or len(a) != quotient.order or len(set(a)) != quotient.order:
-        raise InternalInconsistencyError(
-            f"induced map on F2 cosets is not a bijection for {s!r}"
-        )
-    return a
+    Otherwise (an identity shadow, a settled inverse) :func:`t_hom` gives it."""
+    source = shadow_source(s)
+    if s._e is None:
+        a = _e_map(s, source, (t_hom(s) if source is s.target else source.hom).images[1])
+        if a is None or not len(a) == len(set(a)) == s.target.data.f2_quotient.order:
+            raise InternalInconsistencyError(
+                f"induced map on F2 cosets is not a bijection for {s!r}"
+            )
+        s._e = a
+    return s._e
 
 
 def _commutator_word(d: QuotientData, f_elt: Permutation, s: GtShadow) -> FreeWord:
@@ -481,16 +479,16 @@ def compose_shadows(s1: GtShadow, s2: GtShadow) -> GtShadow:
     source(s1) = target(s2) as kernels.
 
     The monoid law (m1,f1)(m2,f2) = (2 m1 m2 + m1 + m2, f1 E_{m1,f1}(f2)),
-    mod the target data, on elements: F = F1 E(F2), E the :func:`_e_table`
-    out of s2's target.  The word is ``f2_commutator``'s, so it never
-    grows; :func:`~braidshadow.words.bullet_monoid` is the word reference.
+    mod the target data, on elements: F = F1 E(F2), E = s1's :func:`_e_table`
+    at F2's index in s2's target.  The word is ``f2_commutator``'s, so it
+    never grows; :func:`~braidshadow.words.bullet_monoid` is the word reference.
     """
     if not nfi_equal(shadow_source(s1), s2.target):
         raise SourceTargetMismatchError(
             f"cannot compose: source of {s1!r} differs from target of {s2!r}"
         )
     d = s1.target.data
-    a = _e_table(s1, s2.target)
+    a = _e_table(s1)
     image = d.f2_quotient.elements_in_order[a[s2.target.data.f2_quotient.index_of(s2.f_elt)]]
     f_elt = s1.f_elt * image
     m = (2 * s1.m * s2.m + s1.m + s2.m) % d.n_ord
@@ -515,6 +513,6 @@ def invert_shadow(s: GtShadow) -> GtShadow:
     m_inv = (-k_inv * s.m) % d.n_ord
     source = shadow_source(s)
     sd = source.data
-    a = _e_table(s, source)
+    a = _e_table(s)
     f_elt = sd.f2_quotient.elements_in_order[a.index(d.f2_quotient.index_of(s.f_elt.inverse()))]
     return GtShadow(source, m_inv, _commutator_word(sd, f_elt, s), f_elt, source=s.target)

@@ -85,8 +85,8 @@ class FreeWord:
     def is_empty(self) -> bool:
         return not self.letters
 
-    def exponent_sums(self, n_gens: int = 2) -> tuple[int, ...]:
-        sums = [0] * n_gens
+    def exponent_sums(self) -> tuple[int, ...]:
+        sums = [0, 0]
         for g, s in self.letters:
             sums[g] += s
         return tuple(sums)
@@ -145,8 +145,6 @@ def apply_endo(w: FreeWord, images: tuple[FreeWord, ...]) -> FreeWord:
 
     The images are only concatenated; the FreeWord constructor reduces.
     """
-    if not images:
-        return w
     inverses = [img.inv().letters for img in images]
     out: list[Letter] = []
     for g, s in w.letters:
@@ -195,7 +193,7 @@ def embed_f2_in_b3(w: FreeWord) -> FreeWord:
 
 def require_commutator_form(f: FreeWord) -> None:
     """Error unless ``f`` lies in [F2,F2], i.e. both exponent sums vanish."""
-    ex, ey = f.exponent_sums(2)
+    ex, ey = f.exponent_sums()
     if ex or ey:
         raise NotCommutatorWordError(
             f"word {word_to_text(f) or '(empty)'} has exponent sums "

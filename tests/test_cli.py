@@ -1,7 +1,10 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from datetime import timedelta
+from pathlib import Path
 
 import hypothesis
 import hypothesis.strategies as strat
@@ -12,12 +15,16 @@ from braidshadow.cli import (
     load_subgroup,
     run_command,
     save_doc,
+    shadow_doc,
     subgroup_doc,
 )
 from braidshadow.errors import BraidRelationError, KernelNotInPb3Error
-from braidshadow.shadows import enumerate_shadows
+from braidshadow.groupoid import genuine_to_depth
+from braidshadow.shadows import GtShadow, enumerate_shadows
 from braidshadow.subgroups import nfi_equal
-from braidshadow.words import word_to_text
+from braidshadow.words import TAG_F2, empty_word, word_to_text
+
+EMPTY = empty_word(TAG_F2)
 
 
 @pytest.fixture
@@ -152,6 +159,26 @@ def test_exit_code_two_on_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_module_entry_point_exits_with_the_command_code(files):
+    # python -m braidshadow runs main() with argv from sys.argv, as the
+    # installed braidshadow script does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "braidshadow", *argv],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+
+    ok = run("validate", files["pb3"])
+    assert (ok.returncode, ok.stdout, ok.stderr) == (0, "valid: pb3 (degree 3)\n", "")
+    bare = run()
+    assert bare.returncode == 2 and bare.stdout == "" and bare.stderr
+
+
 # ---------------------------------------------------------------------------
 # command output
 
@@ -244,6 +271,36 @@ def test_genuine_accepts_an_f_word(files, tmp_path, capsys):
     )
     assert code == 0
     assert "verdict: not_fake_to_depth" in capsys.readouterr().out
+
+
+def test_genuine_reports_a_fake_verdict_and_its_witness(
+    files, tmp_path, catalog4, monkeypatch, capsys
+):
+    # no real shadow is known to be fake, so the library is handed the
+    # planted non-shadow (m=1, f=1) on cat02 in place of the parsed one
+    real = genuine_to_depth
+
+    def planted(s, catalog, max_candidates):
+        bogus = GtShadow(s.target, 1, EMPTY, s.target.data.f2_quotient.identity)
+        return real(bogus, catalog, max_candidates)
+
+    monkeypatch.setattr("braidshadow.cli.genuine_to_depth", planted)
+    argv = ["genuine", files["cat02"], "-m", "2", "--max-degree", "4",
+            "--cache-dir", str(tmp_path / "c")]
+    assert run_command(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "verdict: fake (checked 1 subgroups)", "witness: cat02",
+    ]
+    out = tmp_path / "genuine.json"
+    assert run_command([*argv, "--json", str(out)]) == 0
+    capsys.readouterr()
+    doc = json.loads(out.read_text())
+    cat02 = catalog4[2]
+    verdict = real(GtShadow(cat02, 1, EMPTY, cat02.data.f2_quotient.identity), catalog4)
+    assert doc["verdict"] == verdict.kind == "fake"
+    assert doc["checked"] == [entry.label for entry in verdict.checked]
+    assert doc["witness"] == verdict.witness.label == "cat02"
+    assert doc["reduce_image"] == [shadow_doc(t) for t in verdict.reduce_image]
 
 
 def test_catalog_save_dir_round_trips(files, tmp_path, catalog4, capsys):

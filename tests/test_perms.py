@@ -153,6 +153,13 @@ def test_generation_is_deterministic():
     assert {g: G1.word_of(g) for g in G1.elements_in_order} == table
 
 
+def test_generate_group_rejects_bad_generators():
+    with pytest.raises(ValueError):
+        generate_group([])
+    with pytest.raises(DegreeMismatchError):
+        generate_group([T01, SWAP])
+
+
 def test_group_size_cap():
     with pytest.raises(GroupSizeCapExceeded) as exc:
         generate_group([T01, T12], max_size=3)
@@ -241,6 +248,8 @@ def test_genhom_validation():
         GenHom(TAG_B3, (T01, C3))
     with pytest.raises(ValueError):
         GenHom(TAG_F2, (T01,))
+    with pytest.raises(ValueError):
+        GenHom(TAG_B3, (T01, T12, T01))
     with pytest.raises(ValueError):
         GenHom("PB3", (T01, T01, Permutation.identity(3)))  # no longer a domain
     with pytest.raises(DegreeMismatchError):

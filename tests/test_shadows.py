@@ -116,8 +116,12 @@ def test_simplified_hexagons_reject_non_commutator_words(catalog4):
 
 
 def test_hexagons_agree_with_simplified_on_the_grid(catalog4):
-    # exhaustive: every unit residue times every commutator element
-    for N in catalog4:
+    # exhaustive: every unit residue times every commutator element; on
+    # catalog_search(5)[6], 44 of the 60 commutator elements fail theta
+    wide = catalog_search(5)[6]
+    thetas = [_theta_hexagon(wide, F) for F in wide.data.f2_commutator.elements_in_order]
+    assert thetas.count(False) == 44
+    for N in [*catalog4, wide]:
         d = N.data
         for m in range(d.n_ord):
             for elt in d.f2_commutator.elements_in_order:
@@ -232,8 +236,9 @@ def test_word_free_enumeration_matches_the_word_level_reference(
     pb3, catalog4, cat09, cat10
 ):
     # reference: simplified hexagons on spelled words at every grid point,
-    # then surjectivity by a permutation closure
-    for N in [pb3, *catalog4, cat09, cat10]:
+    # then surjectivity by a permutation closure; catalog_search(5)[6] is
+    # the one target here with commutator elements that fail theta
+    for N in [pb3, *catalog4, cat09, cat10, catalog_search(5)[6]]:
         d = N.data
         comm = d.f2_commutator
         units = [m for m in range(d.n_ord) if math.gcd(2 * m + 1, d.n_ord) == 1]
@@ -506,7 +511,7 @@ def test_settled_criterion_on_the_grid(pb3, catalog4, cat09):
                 s = GtShadow(N, m, EMPTY, F)
                 assert (_settled_e_map(s, images[1]) is not None) == settled
                 # the test writes nothing on the shadow
-                assert s._source is None and s._e_own is None
+                assert s._source is None and s._e is None
                 seen.add((settled, math.gcd(k, d.n_ord) == 1, d.c_period))
     assert {(False, False, 3), (False, True, 1), (True, True, 3)} <= seen
 
@@ -715,8 +720,8 @@ def test_source_inverts_f_once(monkeypatch, cat09):
 def test_inverting_reads_t_off_the_source(monkeypatch, cat09):
     # an unsettled source wraps T's checked GenHom, and the inverse of an
     # unsettled shadow has T = N.hom, so neither forms T again; a settled
-    # inverse does (6 of the 12 round trips' calls are its compose, 6 its
-    # invert).  A fresh realization, so no memo answers early.
+    # inverse forms it once, for the E table its compose builds and its
+    # invert reuses (6 calls).  A fresh realization, so no memo answers early.
     N = new_nfi(cat09.hom.images, label=cat09.label)
     shadows = enumerate_shadows(N)
     for s in shadows:
@@ -734,7 +739,7 @@ def test_inverting_reads_t_off_the_source(monkeypatch, cat09):
         assert compose_shadows(s, t) == identity_shadow(N)
         assert compose_shadows(t, s) == identity_shadow(shadow_source(s))
         assert invert_shadow(t) == s
-    assert len(calls) == 12
+    assert len(calls) == 6
 
 
 def test_e_table_reads_t_off_an_unsettled_source(catalog7, cat09, cat10):
@@ -750,7 +755,64 @@ def test_e_table_reads_t_off_an_unsettled_source(catalog7, cat09, cat10):
         assert t_hom(t).images == s.target.hom.images
         for u in (s, t):
             source = shadow_source(u)
-            assert _e_table(u, source) == _e_map(u, source, t_hom(u).images[1])
+            assert _e_table(u) == _e_map(u, source, t_hom(u).images[1])
+
+
+def test_e_table_serves_every_realization_of_the_source(catalog7, cat09, cat10):
+    # the source's quotients are enumerated alike in every realization, so
+    # E built out of a block sum of the source is the table the shadow keeps
+    targets = [*catalog7, cat09, cat10, nfi_intersect([cat09, cat10])]
+    shadows = [s for N in targets for s in enumerate_shadows(N)]
+    assert len(shadows) == 301
+    twins = {}
+    for s in shadows:
+        K = shadow_source(s)
+        if K not in twins:
+            twins[K] = nfi_intersect([K, K])
+        assert _e_map(s, twins[K], t_hom(s).images[1]) == _e_table(s), s
+
+
+def test_e_table_is_built_once_per_shadow(monkeypatch, cat09):
+    # fresh realizations, so no memo answers early.  The round trips build
+    # one table per shadow and per inverse, except the 6 that settled
+    # shadows kept from shadow_source (the parent built 36).  Composing
+    # every composable pair of the component reads the unsettled sources'
+    # homomorphisms and forms no T (the parent formed 132, one per compose
+    # that met another realization of the source, and built 144 tables).
+    counts = {"t_hom": 0, "_e_map": 0}
+
+    def counted(name, original):
+        def counting(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(f"braidshadow.shadows.{name}", counting)
+
+    N = new_nfi(cat09.hom.images, label=cat09.label)
+    shadows = enumerate_shadows(N)
+    for s in shadows:
+        shadow_source(s)
+    counted("t_hom", t_hom)
+    counted("_e_map", _e_map)
+    for s in shadows:
+        t = invert_shadow(s)
+        assert compose_shadows(s, t) == identity_shadow(N)
+        assert compose_shadows(t, s) == identity_shadow(shadow_source(s))
+        assert invert_shadow(t) == s
+    assert counts == {"t_hom": 6, "_e_map": 18}
+
+    component = connected_component(new_nfi(cat09.hom.images, label=cat09.label))
+    counts.update(t_hom=0, _e_map=0)
+    morphisms = [(i, j, s) for (i, j), ss in component.morphisms.items() for s in ss]
+    composed = 0
+    for i, _, s1 in morphisms:
+        keys = {s.key() for s in enumerate_shadows(s1.target)}
+        for _, j, s2 in morphisms:
+            if j == i:
+                assert compose_shadows(s1, s2).key() in keys
+                composed += 1
+    assert composed == 288
+    assert counts == {"t_hom": 0, "_e_map": 12}
 
 
 def _invariant_targets(catalog4, catalog7, cat09, cat10):

@@ -425,6 +425,41 @@ def test_commutator_closure_is_frozen(catalog7, cat09, cat10):
     )
 
 
+def _relabelled(N, seed):
+    points = list(range(N.degree))
+    random.Random(seed).shuffle(points)
+    P = Permutation(tuple(points))
+    return new_nfi(tuple(P.inverse() * g * P for g in N.hom.images))
+
+
+def _index_view(N):
+    # everything about the quotients that a realization could change but
+    # the marked groups alone decide
+    d = N.data
+    q, D = d.f2_quotient, d.f2_commutator
+    groups = [(G.right, G._parent, G._via) for G in (d.b3_quotient, q)]
+    comm = [
+        (q.index_of(g), D._parent[i], D._via[i], D.word_of(g))
+        for i, g in enumerate(D.elements_in_order)
+    ]
+    return groups, comm
+
+
+def test_realizations_enumerate_their_quotients_alike(catalog7, cat09, cat10):
+    # the BFS discovers elements in an order fixed by the marked group, so
+    # a block sum, a padding with fixed points and a relabelling of the
+    # points give the same indices, trees, tables and commutator words
+    kernels = [*catalog7, cat09, cat10, nfi_intersect([cat09, cat10])]
+    assert len(kernels) == 18
+    pad = Permutation.identity(3)
+    for N in kernels:
+        padded = new_nfi(tuple(block_sum(g, pad) for g in N.hom.images))
+        realizations = [nfi_intersect([N, N]), padded, _relabelled(N, N.degree)]
+        for K in realizations:
+            assert K.hom.images != N.hom.images and nfi_equal(K, N), (N.label, K.label)
+            assert _index_view(K) == _index_view(N), (N.label, K.label)
+
+
 def test_commutator_closure_trips_the_cap_at_its_order(catalog7):
     cat13 = catalog7[13]
     q = cat13.data.f2_quotient

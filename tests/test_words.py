@@ -106,6 +106,8 @@ def test_text_rejects_foreign_letters():
         word_from_text("xq", TAG_F2)
     with pytest.raises(ValueError):
         word_from_text("x", TAG_B3)
+    with pytest.raises(ValueError):
+        word_to_text(FreeWord("F5", ((0, 1),)))
 
 
 def test_exponent_sums_and_commutator_form():
@@ -167,6 +169,8 @@ def test_substitution_is_homomorphic(u, v):
 def test_f2_endo_rejects_braid_words():
     with pytest.raises(ValueError):
         f2_endo_apply(SIGMA1, X, Y)
+    with pytest.raises(ValueError):
+        embed_f2_in_b3(SIGMA1)
 
 
 def test_e_endo_values():
@@ -230,6 +234,8 @@ def test_sl2z_oracle_kernel_cases():
         artin_equal(X, X)
     with pytest.raises(ValueError):
         artin_equal(SIGMA1, X)
+    with pytest.raises(ValueError):
+        artin_images(X)
 
 
 def test_artin_center():
