@@ -61,28 +61,20 @@ class GtShadow:
     is printed, and what the word-level references substitute) and its
     image in F2/N_F2.  Two shadows are the same morphism iff their targets, m
     residues and f images agree; the word is just a representative.
-    :func:`shadow_source` alone writes ``_source``; ``_e`` keeps the E
-    table of :func:`_e_table`, one for every realization of the source.  A
-    ``source`` passed to the constructor is trusted as ker T, and when it
-    is not the target its homomorphism must be T itself, as it is for the
-    one that :func:`invert_shadow` passes.
+    The source is ker T, decided by :func:`shadow_source` and never by a
+    caller (:func:`invert_shadow` presets an unsettled shadow's inverse's).
+    ``_e`` keeps the E table of :func:`_e_table`, one for every realization
+    of the source.
     """
 
     __slots__ = ("target", "m", "f_word", "f_elt", "_source", "_e")
 
-    def __init__(
-        self,
-        target: NfiSubgroup,
-        m: int,
-        f_word: FreeWord,
-        f_elt: Permutation,
-        source: NfiSubgroup | None = None,
-    ):
+    def __init__(self, target: NfiSubgroup, m: int, f_word: FreeWord, f_elt: Permutation):
         self.target = target
         self.m = m % target.data.n_ord
         self.f_word = f_word
         self.f_elt = f_elt
-        self._source = source
+        self._source: NfiSubgroup | None = None
         self._e: list[int] | None = None
 
     def key(self) -> tuple[int, Permutation]:
@@ -108,8 +100,8 @@ class GtShadow:
 
 
 def identity_shadow(N: NfiSubgroup) -> GtShadow:
-    """The identity morphism at N: (0, empty word).  Its T is N.hom itself."""
-    return GtShadow(N, 0, empty_word(TAG_F2), N.data.f2_quotient.identity, source=N)
+    """The identity morphism at N: (0, empty word).  T = N.hom, so it is settled."""
+    return GtShadow(N, 0, empty_word(TAG_F2), N.data.f2_quotient.identity)
 
 
 def check_hexagons(N: NfiSubgroup, m: int, f: FreeWord) -> bool:
@@ -279,12 +271,14 @@ def t_hom(s: GtShadow) -> GenHom:
 def shadow_source(s: GtShadow) -> NfiSubgroup:
     """ker(T), wrapped as a subgroup object; computed once and cached on s.
 
-    A settled shadow (kernel equal to its target) gets the target object
-    itself, so every morphism on one object lives in one realization and
-    inverses stay comparable to the originals.  Only an unsettled kernel
-    is built as a new subgroup, around the homomorphism :func:`t_hom`
-    checked, so the braid relation is tested once; ``NfiSubgroup`` checks
-    that the kernel lies in PB3.  A settled one is N, and N <= PB3.
+    The one caller of :func:`t_hom`, and the source of every shadow but an
+    unsettled shadow's inverse (:func:`invert_shadow`).  A settled shadow
+    (kernel equal to its target) gets the target object itself, so every
+    morphism on one object lives in one realization and inverses stay
+    comparable to the originals.  Only an unsettled kernel is built as a
+    new subgroup, around the homomorphism :func:`t_hom` checked, so the
+    braid relation is tested once; ``NfiSubgroup`` checks that the kernel
+    lies in PB3.  A settled one is N, and N <= PB3.
 
     Settledness is decided on F2/N_F2, which is 6r times smaller than B3/N
     (:func:`_settled_e_map`, given T's image of sigma_2), and a settled
@@ -329,16 +323,13 @@ def shadow_source(s: GtShadow) -> NfiSubgroup:
 def _settled_e_map(s: GtShadow, t2: Permutation) -> list[int] | None:
     """E out of the target's own F2/N_F2 if ker T = N, else None; t2 is T's
     image of sigma_2.  The three conditions of :func:`shadow_source`, the
-    cheapest (gcd(k, r) = 1) first.  T(c) = c^k is :func:`t_hom`'s check;
-    (c^r)^k comes from :func:`_powers`."""
+    cheapest (gcd(k, r) = 1) first; :func:`_e_map` tests condition 1.
+    T(c) = c^k is :func:`t_hom`'s check; (c^r)^k is :func:`_powers`'."""
     d = s.target.data
     if math.gcd(2 * s.m + 1, d.c_period) != 1:
         return None
-    q = d.f2_quotient
     a = _e_map(s, s.target, t2)
-    if a is None or len(set(a)) != q.order:
-        return None
-    if a[q.index_of(d.c_period_image)] != _powers(s.target, s.m).cr:
+    if a is None or a[d.f2_quotient.index_of(d.c_period_image)] != _powers(s.target, s.m).cr:
         return None
     return a
 
@@ -428,8 +419,8 @@ def enumerate_shadows(
 
 def _e_map(s: GtShadow, source: NfiSubgroup, t2: Permutation) -> list[int] | None:
     """E_{m,f}: x -> x^(2m+1), y -> F^-1 y^(2m+1) F (F: f's image), from
-    ``source``'s F2/K_F2 into F2/N_F2, on indices, or None if it is not
-    well defined.  E is T on F2, so its images are the squares of T's:
+    ``source``'s F2/K_F2 onto F2/N_F2, on indices, or None unless it is
+    a well-defined bijection.  E is T on F2, so its images are T's squares:
     x^k = (sigma_1^k)^2 and F^-1 y^k F = t2^2, t2 = F^-1 sigma_2^k F being
     T's image of sigma_2 as :func:`t_hom` formed it.  Tabulated and checked
     by ``hom_into``, which reads x^k's right table from :func:`_powers` and
@@ -437,16 +428,18 @@ def _e_map(s: GtShadow, source: NfiSubgroup, t2: Permutation) -> list[int] | Non
     reference.
     """
     x_table = _powers(s.target, s.m).x_table
-    return source.data.f2_quotient.hom_into(s.target.data.f2_quotient, (x_table, t2 * t2))
+    q = s.target.data.f2_quotient
+    a = source.data.f2_quotient.hom_into(q, (x_table, t2 * t2))
+    return a if a is not None and len(a) == len(set(a)) == q.order else None
 
 
 def _e_table(s: GtShadow) -> list[int]:
-    """:func:`_e_map` as a bijection from K = source(s)'s F2/K_F2 onto
-    F2/N_F2, built and checked once (a settled shadow's by
-    :func:`shadow_source`) and kept on s.  Every realization of K indexes
-    F2/K_F2 alike (:class:`~braidshadow.perms.GeneratedGroup`), so it
-    serves them all.  When K is not the target, T's image of sigma_2 is
-    read off K's homomorphism, with no T formed:
+    """:func:`_e_map` from K = source(s)'s F2/K_F2 onto F2/N_F2, built
+    once (a settled shadow's by :func:`shadow_source`) and kept on s.
+    Every realization of K indexes F2/K_F2 alike
+    (:class:`~braidshadow.perms.GeneratedGroup`), so it serves them all.
+    Only a shadow whose source is not its target reaches the build, and
+    T's image of sigma_2 is read off K's homomorphism, with no T formed:
 
     - :func:`shadow_source` built an unsettled source around T's checked
       ``GenHom`` itself;
@@ -455,12 +448,11 @@ def _e_table(s: GtShadow) -> list[int]:
       (sigma_1^k)^k~ = sigma_1 (k k~ = 1 mod 2 N_ord, and sigma_1^2 has
       order dividing N_ord), and t's f image is F^-1 as a permutation, so
       sigma_2 goes to F (F^-1 sigma_2^k F)^k~ F^-1 = sigma_2.
-
-    Otherwise (an identity shadow, a settled inverse) :func:`t_hom` gives it."""
+    """
     source = shadow_source(s)
     if s._e is None:
-        a = _e_map(s, source, (t_hom(s) if source is s.target else source.hom).images[1])
-        if a is None or not len(a) == len(set(a)) == s.target.data.f2_quotient.order:
+        a = _e_map(s, source, source.hom.images[1])
+        if a is None:
             raise InternalInconsistencyError(
                 f"induced map on F2 cosets is not a bijection for {s!r}"
             )
@@ -498,6 +490,9 @@ def compose_shadows(s1: GtShadow, s2: GtShadow) -> GtShadow:
 def invert_shadow(s: GtShadow) -> GtShadow:
     """The inverse morphism: target and source swap.
 
+    An unsettled shadow's inverse gets the original target object as its
+    source, whose homomorphism is the inverse's T (:func:`_e_table`);
+    :func:`shadow_source` decides every other inverse's, a settled one's N.
     m inverts through the odd-part formula (2m+1)(2m~+1) = 1 mod 2 N_ord,
     i.e. m~ = -(2m+1)^-1 m.  f~'s image is the preimage of F^-1 under
     :func:`_e_table`, and its word the source's ``f2_commutator``'s.
@@ -515,4 +510,6 @@ def invert_shadow(s: GtShadow) -> GtShadow:
     sd = source.data
     a = _e_table(s)
     f_elt = sd.f2_quotient.elements_in_order[a.index(d.f2_quotient.index_of(s.f_elt.inverse()))]
-    return GtShadow(source, m_inv, _commutator_word(sd, f_elt, s), f_elt, source=s.target)
+    t = GtShadow(source, m_inv, _commutator_word(sd, f_elt, s), f_elt)
+    t._source = None if source is s.target else s.target
+    return t

@@ -815,6 +815,53 @@ def test_e_table_is_built_once_per_shadow(monkeypatch, cat09):
     assert counts == {"t_hom": 0, "_e_map": 12}
 
 
+def _fresh_targets(catalog4, cat09, cat10):
+    return [new_nfi(N.hom.images, label=N.label) for N in (*catalog4, cat09, cat10)]
+
+
+def test_e_table_forms_no_t(monkeypatch, catalog4, cat09, cat10):
+    # shadow_source is the one place T is formed: once the sources of the
+    # shadows, their inverses and the identity shadows at both ends are
+    # resolved, every E table is built with t_hom unavailable.  Fresh
+    # realizations, so no memo answers early.
+    shadows = []
+    for N in _fresh_targets(catalog4, cat09, cat10):
+        for s in enumerate_shadows(N):
+            K = shadow_source(s)
+            shadows += [s, invert_shadow(s), identity_shadow(N), identity_shadow(K)]
+    assert len(shadows) == 4 * 37
+    for s in shadows:
+        shadow_source(s)
+
+    def forbidden(s):
+        raise AssertionError(f"T formed for {s!r}")
+
+    monkeypatch.setattr("braidshadow.shadows.t_hom", forbidden)
+    for s in shadows:
+        assert sorted(_e_table(s)) == list(range(s.target.data.f2_quotient.order)), s
+
+
+def test_e_map_returns_only_bijections(catalog4, cat09, cat10):
+    # every m and every F: where hom_into finds E well defined but not a
+    # bijection (75 grid points), _e_map returns None; elsewhere it returns
+    # hom_into's answer
+    not_onto = 0
+    for N in _fresh_targets(catalog4, cat09, cat10):
+        q = N.data.f2_quotient
+        for m in range(N.data.n_ord):
+            pw = _powers(N, m)
+            for F in q.elements_in_order:
+                t2 = F.inverse() * pw.g2 * F
+                walked = q.hom_into(q, (pw.x_table, t2 * t2))
+                e = _e_map(GtShadow(N, m, q.word_of(F), F), N, t2)
+                if walked is not None and len(set(walked)) < q.order:
+                    not_onto += 1
+                    assert e is None, (N.label, m, F)
+                else:
+                    assert e == walked, (N.label, m, F)
+    assert not_onto == 75
+
+
 def _invariant_targets(catalog4, catalog7, cat09, cat10):
     meets = [nfi_intersect([a, b]) for a, b in itertools.combinations(catalog4[1:], 2)]
     return [*catalog7, cat09, cat10, *meets]

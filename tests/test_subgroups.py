@@ -79,6 +79,7 @@ def test_new_nfi_auto_label():
     N = new_nfi(rho().images)
     assert N.label == f"N-{N.content_id[:8]}"
     assert new_nfi(rho().images, label="top").label == "top"
+    assert repr(new_nfi(rho().images, label="top")) == "NfiSubgroup('top', degree=3)"
 
 
 def test_content_id_tracks_realization():

@@ -59,3 +59,92 @@ def test_code_lines_compares_two_trees(tmp_path):
         ["c.py", "0", "0", "2", "1", "+2", "+1"],
         ["total", "19", "7", "21", "8", "+2", "+1"],
     ]
+
+
+SURFACE = CODE_LINES.with_name("surface.py")
+
+SURFACE_FIXTURE = '''from dataclasses import dataclass
+from typing import ClassVar, NamedTuple
+
+
+def f(a, /, b, *rest, c, **kw):
+    def inner(z):
+        return z
+
+
+def _private(a):
+    pass
+
+
+class C:
+    def __init__(self, x, *, y=1):
+        pass
+
+    @property
+    def size(self):
+        return 0
+
+    @staticmethod
+    def make(n):
+        return C(n)
+
+    @classmethod
+    def empty(cls):
+        return cls(0)
+
+    def _hidden(self):
+        pass
+
+
+@dataclass(frozen=True)
+class D:
+    p: int
+    q: str = ""
+    limit: ClassVar[int] = 3
+
+
+class Pair(NamedTuple):
+    left: int
+    right: int
+
+
+class Plain:
+    pass
+'''
+
+
+def _surface(*dirs):
+    return subprocess.run(
+        [sys.executable, str(SURFACE), *map(str, dirs)],
+        capture_output=True, text=True, check=True,
+    ).stdout.splitlines()
+
+
+def test_surface_lists_public_names_with_their_parameters(tmp_path):
+    # a private module, private names and nested functions are skipped; a
+    # dataclass or NamedTuple lists its fields, but not a ClassVar
+    (tmp_path / "m.py").write_text(SURFACE_FIXTURE, encoding="utf-8")
+    (tmp_path / "_hidden.py").write_text("def g(a):\n    pass\n", encoding="utf-8")
+    assert _surface(tmp_path) == [
+        "m.f(a, /, b, *rest, c, **kw)",
+        "m.C(x, *, y)",
+        "m.C.size",
+        "m.C.make(n)",
+        "m.C.empty()",
+        "m.D(p, q)",
+        "m.Pair(left, right)",
+        "m.Plain()",
+    ]
+
+
+def test_surface_compares_two_trees(tmp_path):
+    # lines only the old tree has get "-", lines only the new one has "+",
+    # ordered by name
+    old, new = tmp_path / "old", tmp_path / "new"
+    old.mkdir()
+    new.mkdir()
+    (old / "m.py").write_text(SURFACE_FIXTURE, encoding="utf-8")
+    changed = SURFACE_FIXTURE.replace("def __init__(self, x, *, y=1)", "def __init__(self, x)")
+    (new / "m.py").write_text(changed + "\n\ndef h():\n    pass\n", encoding="utf-8")
+    (new / "n.py").write_text("def k(v):\n    pass\n", encoding="utf-8")
+    assert _surface(old, new) == ["- m.C(x, *, y)", "+ m.C(x)", "+ m.h()", "+ n.k(v)"]
