@@ -1,6 +1,10 @@
+import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 CODE_LINES = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
 
@@ -148,3 +152,42 @@ def test_surface_compares_two_trees(tmp_path):
     (new / "m.py").write_text(changed + "\n\ndef h():\n    pass\n", encoding="utf-8")
     (new / "n.py").write_text("def k(v):\n    pass\n", encoding="utf-8")
     assert _surface(old, new) == ["- m.C(x, *, y)", "+ m.C(x)", "+ m.h()", "+ n.k(v)"]
+
+
+BENCH_PAIRS = CODE_LINES.with_name("bench_pairs.py")
+
+
+def _result_line(correct, failed, ops, p50):
+    # the last stdout line of perfbench/run.py --trace 0
+    return json.dumps({
+        "correct": correct, "attempted": 100, "failed": failed,
+        "metrics": {"ops_per_s": {"value": ops, "unit": "1/s"},
+                    "op_p50_ms": {"value": p50, "unit": "ms"}},
+    })
+
+
+def test_bench_pairs_summarizes_paired_runs():
+    # medians and inclusive quartiles per side; a pair is a win for the new
+    # tree when its value is better in the metric's own direction
+    spec = importlib.util.spec_from_file_location("bench_pairs", BENCH_PAIRS)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    old = [_result_line(True, 0, ops, p50) for ops, p50 in
+           [(100, 2.0), (110, 1.0), (90, 3.0), (120, 2.5), (105, 1.5)]]
+    new = [_result_line(k != 2, int(k == 2), ops, p50) for k, (ops, p50) in
+           enumerate([(130, 1.0), (105, 1.5), (140, 0.5), (150, 2.0), (125, 1.5)])]
+    summary = bench_pairs.summarize(
+        [json.loads(line) for line in old], [json.loads(line) for line in new],
+        {"ops_per_s": "higher", "op_p50_ms": "lower"},
+    )
+    ops = summary["metrics"]["ops_per_s"]
+    assert (ops["old"]["median"], ops["old"]["q1"], ops["old"]["q3"]) == (105, 100, 110)
+    assert (ops["new"]["median"], ops["new"]["q1"], ops["new"]["q3"]) == (130, 125, 140)
+    assert ops["new"]["values"] == [130, 105, 140, 150, 125]
+    assert (ops["unit"], ops["better"], ops["new_wins"]) == ("1/s", "higher", 4)
+    assert ops["change"] == pytest.approx(25 / 105)
+    p50 = summary["metrics"]["op_p50_ms"]
+    assert (p50["old"]["median"], p50["new"]["median"], p50["new_wins"]) == (2.0, 1.5, 3)
+    assert p50["change"] == pytest.approx(-0.25)
+    assert summary["runs"]["old"][0] == {"correct": True, "attempted": 100, "failed": 0}
+    assert summary["runs"]["new"][2] == {"correct": False, "attempted": 100, "failed": 1}
