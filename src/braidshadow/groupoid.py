@@ -134,7 +134,7 @@ def _reduction(N: NfiSubgroup, H: NfiSubgroup) -> list[int] | None:
 def _reduce(s: GtShadow, H: NfiSubgroup, a: list[int]) -> GtShadow:
     """s reduced along ``a = _reduction(s.target, H)``.  f's image lies in
     B3/N, so its image under ``a`` is f's image in B3/H; no word is read."""
-    f_elt = H.b3_quotient.elements_in_order[a[s.target.b3_quotient.index_of(s.f_elt)]]
+    f_elt = H.b3_quotient.element(a[s.target.b3_quotient.index_of(s.f_elt)])
     return GtShadow(H, s.m % H.data.n_ord, s.f_word, f_elt)
 
 

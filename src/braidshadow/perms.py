@@ -23,8 +23,9 @@ product ``p * q`` means "apply p first, then q".
 Only the public constructor ``Permutation(images)`` checks that the images
 form a bijection; that is where outside data comes in.  Products, inverses
 and powers are built unchecked, since a product of bijections is a
-bijection, and the closure works on bare image tuples, wrapping each
-element once.
+bijection.  The closure works on byte strings (one ``bytes.translate`` per
+product) up to degree 256 and on image tuples above it, and a group wraps
+an element as a :class:`Permutation` only when it is read.
 """
 
 from __future__ import annotations
@@ -141,8 +142,13 @@ class GeneratedGroup:
     """A fully enumerated permutation group, words spelled on demand.
 
     ``elements_in_order`` lists elements in BFS discovery order: words sorted
-    by length, ties broken by generator index then left to right.  The BFS
-    records a Schreier tree (element i was first reached from element
+    by length, ties broken by generator index then left to right.  The group
+    stores them unwrapped (as ``bytes`` up to degree 256, as image tuples
+    above it) and keys its index by the same values; ``element(i)`` wraps
+    element i alone, and ``elements_in_order`` wraps them all on its first
+    read and keeps the list.
+
+    The BFS records a Schreier tree (element i was first reached from element
     ``parent[i]`` by generator ``via[i]``), and ``word_of`` spells words from
     it on demand, over ``word_basis`` (== the generators, except for
     commutator subgroups, whose words are spelled over the parent group's
@@ -164,8 +170,8 @@ class GeneratedGroup:
         self,
         generators: Sequence[Permutation],
         tag: str,
-        elements_in_order: list[Permutation],
-        index: dict[tuple[int, ...], int],
+        found: list[bytes] | list[tuple[int, ...]],
+        index: dict[bytes, int] | dict[tuple[int, ...], int],
         parent: list[int],
         via: list[int],
         right: list[list[int]] | None,
@@ -174,9 +180,12 @@ class GeneratedGroup:
     ):
         self.generators = tuple(generators)
         self.tag = tag
-        self.elements_in_order = elements_in_order
         self.word_basis = tuple(word_basis) if word_basis is not None else self.generators
-        self.order = len(elements_in_order)
+        self.order = len(found)
+        self._found = found
+        self._elements: list[Permutation] | None = None
+        # the length of a byte key, or None when the keys are image tuples
+        self._byte_len = len(found[0]) if isinstance(found[0], bytes) else None
         self._index = index
         self._parent = parent
         self._via = via
@@ -193,15 +202,32 @@ class GeneratedGroup:
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
+    @property
+    def elements_in_order(self) -> list[Permutation]:
+        if self._elements is None:
+            self._elements = list(map(Permutation._trusted, map(tuple, self._found)))
+        return self._elements
+
+    def element(self, i: int) -> Permutation:
+        """Element i in BFS order, wrapped on its own."""
+        return Permutation._trusted(tuple(self._found[i]))
+
+    def _key(self, p: Permutation):
+        # a permutation of another degree keeps its tuple, which is no key
+        images = p.images
+        return bytes(images) if len(images) == self._byte_len else images
+
     def __contains__(self, p: Permutation) -> bool:
-        return p.images in self._index
+        return self._key(p) in self._index
 
     def index_of(self, p: Permutation) -> int:
-        return self._index[p.images]
+        return self._index[self._key(p)]
 
     def word_of(self, p: Permutation) -> FreeWord:
+        return self._word_at(self._index[self._key(p)])
+
+    def _word_at(self, i: int) -> FreeWord:
         """Parent's word times the seed word; spelled in BFS order and kept."""
-        i = self._index[p.images]
         words = self._words
         for j in range(len(words), i + 1):
             words.append(words[self._parent[j]] * self._seed_words[self._via[j]])
@@ -331,10 +357,13 @@ def generate_group(
     """Breadth-first closure of the generators, recording a Schreier tree
     and the right-multiplication table (every product is looked up anyway).
 
-    The closure runs on image tuples: a step is one ``map`` of the
-    generator's images over the current element, and the index is keyed by
-    the tuples.  Each new element is wrapped once, unchecked, as a product
-    of the (checked) generators.
+    Up to degree 256 the closure runs on byte strings: a step is
+    ``current.translate(table)``, the table being the generator's images
+    padded to 256 bytes, and the index is keyed by the bytes.  Above it, the
+    same loop multiplies image tuples with one ``map``.  No element is
+    wrapped here: the group wraps one when it is read (see
+    :class:`GeneratedGroup`), unchecked, as a product of the (checked)
+    generators.
 
     Positive products suffice to close a finite group, so words use positive
     letters only (unless explicit ``seed_words`` carry inverses).  The BFS
@@ -355,8 +384,18 @@ def generate_group(
     if seed_words is None:
         seed_words = [FreeWord(tag, ((i, 1),)) for i in range(len(gens))]
     # current * gen sends i to gen[current[i]]
-    steps = [g.images.__getitem__ for g in gens]
-    identity = tuple(range(degree))
+    if degree <= 256:
+        identity: bytes | tuple[int, ...] = bytes(range(degree))
+        pad = bytes(256 - degree)
+        tables = [bytes(g.images) + pad for g in gens]
+        mul = bytes.translate
+    else:
+        identity = tuple(range(degree))
+        tables = [g.images.__getitem__ for g in gens]
+
+        def mul(current, step):
+            return tuple(map(step, current))
+
     index = {identity: 0}
     found = [identity]
     append = found.append
@@ -365,8 +404,8 @@ def generate_group(
     cursor = 0
     while cursor < len(found) and len(found) != order:
         current = found[cursor]
-        for g, step in enumerate(steps):
-            product = tuple(map(step, current))
+        for g, table in enumerate(tables):
+            product = mul(current, table)
             j = index.get(product)
             if j is None:
                 j = index[product] = len(found)
@@ -382,9 +421,8 @@ def generate_group(
         raise InternalInconsistencyError(
             f"closure has {len(found)} elements, not the given order {order}"
         )
-    elements = list(map(Permutation._trusted, found))
     return GeneratedGroup(
-        gens, tag, elements, index, parent, via, right, seed_words, word_basis
+        gens, tag, found, index, parent, via, right, seed_words, word_basis
     )
 
 
@@ -441,7 +479,6 @@ def commutator_subgroup(
     """
     right = G._table()
     inv = G._inverse_table()
-    elements = G.elements_in_order
     conj = [
         [row[k] for k in G._walk(right, G.index_of(s.inverse()))]
         for row, s in zip(right, G.generators)
@@ -456,15 +493,15 @@ def commutator_subgroup(
     seeds: list[Permutation] = []
     seed_words: list[FreeWord] = []
     seen = {0}  # the identity is never a seed
-    for i, g in enumerate(elements):
+    for i in range(G.order):
         for D, w, w_inv in comms:
             c = D[inv[i]]  # g c g^-1, then its inverse
             for j, cw in ((c, w), (inv[c], w_inv)):
                 if j in seen:
                     continue
                 seen.add(j)
-                seeds.append(elements[j])
-                g_word = G.word_of(g)
+                seeds.append(G.element(j))
+                g_word = G._word_at(i)
                 seed_words.append(g_word * cw * g_word.inv())
     if not seeds:
         seeds, seed_words = [G.identity], [empty_word(G.tag)]

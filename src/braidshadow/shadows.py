@@ -226,13 +226,12 @@ def _powers(N: NfiSubgroup, m: int) -> _Powers:
     d = N.data
     n, k = d.n_ord, 2 * m + 1
     b, q = d.b3_quotient, d.f2_quotient
-    b_at = b.elements_in_order
-    g1 = b_at[_along(b.right[:1], k)]
+    g1 = b.element(_along(b.right[:1], k))
     pw = _Powers(
         g1=g1,
-        g2=b_at[_along(b.right[1:], k)],
-        c=b_at[_along(b.right, 6 * (k % n))],
-        cr=q.index_of(b_at[_along(b.right, 6 * (d.c_period * k % n))]),
+        g2=b.element(_along(b.right[1:], k)),
+        c=b.element(_along(b.right, 6 * (k % n))),
+        cr=q.index_of(b.element(_along(b.right, 6 * (d.c_period * k % n)))),
         x_table=q._right_table(g1 * g1),
     )
     if math.gcd(k, n) == 1:
@@ -351,8 +350,8 @@ def _tau_hexagon(N: NfiSubgroup, m: int):
     """
     d = N.data
     b, q = d.b3_quotient, d.f2_quotient
-    y_m = q.elements_in_order[_along(q.right[1:], m % d.n_ord)]
-    c_m1 = b.elements_in_order[_along(b.right, 6 * ((m - 1) % d.n_ord))]
+    y_m = q.element(_along(q.right[1:], m % d.n_ord))
+    c_m1 = b.element(_along(b.right, 6 * ((m - 1) % d.n_ord)))
     g1, g2 = N.hom.images
     u_inv = (g1 * g2).inverse()
 
@@ -481,7 +480,7 @@ def compose_shadows(s1: GtShadow, s2: GtShadow) -> GtShadow:
         )
     d = s1.target.data
     a = _e_table(s1)
-    image = d.f2_quotient.elements_in_order[a[s2.target.data.f2_quotient.index_of(s2.f_elt)]]
+    image = d.f2_quotient.element(a[s2.target.data.f2_quotient.index_of(s2.f_elt)])
     f_elt = s1.f_elt * image
     m = (2 * s1.m * s2.m + s1.m + s2.m) % d.n_ord
     return GtShadow(s1.target, m, _commutator_word(d, f_elt, s1), f_elt)
@@ -509,7 +508,7 @@ def invert_shadow(s: GtShadow) -> GtShadow:
     source = shadow_source(s)
     sd = source.data
     a = _e_table(s)
-    f_elt = sd.f2_quotient.elements_in_order[a.index(d.f2_quotient.index_of(s.f_elt.inverse()))]
+    f_elt = sd.f2_quotient.element(a.index(d.f2_quotient.index_of(s.f_elt.inverse())))
     t = GtShadow(source, m_inv, _commutator_word(sd, f_elt, s), f_elt)
     t._source = None if source is s.target else s.target
     return t

@@ -95,6 +95,26 @@ def test_component_builds_quotient_data_only_for_new_objects(monkeypatch, cat09)
     assert len(built) == 2  # one per object, none per source compared
 
 
+def test_groupoid_operations_wrap_no_quotient_element_list(catalog7):
+    # enumeration, components, inverses and composites read single
+    # elements of B3/N and F2/N_F2 (GeneratedGroup.element), so neither
+    # quotient wraps its element list; only the commutator subgroups,
+    # whose elements the enumeration grid runs over, do
+    kernels = [new_nfi(N.hom.images, label=N.label) for N in catalog7]
+    objects = []
+    for N in kernels:
+        enumerate_shadows(N)
+        report = connected_component(N)
+        objects += report.objects
+        for shadows in report.morphisms.values():
+            for s in shadows:
+                compose_shadows(s, invert_shadow(s))
+    assert len(objects) == 17  # 13 isolated kernels and two 2-object components
+    for N in objects:
+        assert N.b3_quotient._elements is None, N.label
+        assert N.data.f2_quotient._elements is None, N.label
+
+
 def test_diamond_of_a_two_object_component(cat09, cat10):
     D = diamond(cat09)
     assert D.degree == 20

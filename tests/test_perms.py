@@ -189,6 +189,39 @@ def test_index_lookup(cat09):
             assert (Permutation(t) in H) == (Permutation(t) in H.elements_in_order)
 
 
+
+def test_membership_of_other_degrees(cat09):
+    # a group keys its elements by their images at its own degree; any
+    # other degree, narrow or wide, is simply not a member
+    G = cat09.b3_quotient
+    others = [
+        Permutation.identity(G.degree - 1),
+        Permutation.identity(G.degree + 1),
+        Permutation.identity(300),
+        Permutation(tuple(range(299, -1, -1))),
+    ]
+    for p in others:
+        assert p not in G
+        with pytest.raises(KeyError):
+            G.index_of(p)
+        with pytest.raises(KeyError):
+            G.word_of(p)
+    assert G.identity in G and G.index_of(G.identity) == 0
+
+
+def test_elements_are_wrapped_on_read(cat09, cat10):
+    # element(i) wraps element i alone; elements_in_order wraps them all
+    # once, on its first read, and keeps the list
+    for N in (cat09, cat10):
+        for H in (N.b3_quotient, N.data.f2_quotient, N.data.f2_commutator):
+            G = generate_group(H.generators, tag=H.tag, word_basis=H.word_basis)
+            assert G._elements is None
+            lazy = [G.element(i) for i in range(G.order)]
+            assert G._elements is None
+            assert lazy == G.elements_in_order == H.elements_in_order
+            assert G.elements_in_order is G.elements_in_order
+
+
 # ---------------------------------------------------------------------------
 # commutator subgroups
 

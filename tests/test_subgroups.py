@@ -461,6 +461,31 @@ def test_realizations_enumerate_their_quotients_alike(catalog7, cat09, cat10):
             assert _index_view(K) == _index_view(N), (N.label, K.label)
 
 
+def test_a_wide_realization_runs_the_whole_pipeline():
+    # 40 copies of a degree-7 kernel: degree 280, past the byte-string
+    # closure, so every quotient is enumerated on image tuples, with the
+    # same indices, trees, tables and shadows as the narrow realization
+    N = catalog_search(4)[4]
+    W = nfi_intersect([N] * 40)
+    assert (W.degree, W.b3_quotient.order) == (280, 72)
+    assert nfi_equal(W, N) and nfi_equal(N, W)
+    for narrow, wide in (
+        (N.b3_quotient, W.b3_quotient),
+        (N.data.f2_quotient, W.data.f2_quotient),
+        (N.data.f2_commutator, W.data.f2_commutator),
+    ):
+        assert isinstance(wide._found[0], tuple) and isinstance(narrow._found[0], bytes)
+        assert (wide._parent, wide._via, wide.right) == (narrow._parent, narrow._via, narrow.right)
+        for i, g in enumerate(narrow.elements_in_order):
+            h = block_sum(*[g] * 40)
+            assert wide.element(i) == h and wide.index_of(h) == i
+            assert wide.word_of(h) == narrow.word_of(g)
+        assert g not in wide and h not in narrow
+    shadows = enumerate_shadows(N)
+    assert [(s.m, s.f_word) for s in enumerate_shadows(W)] == [(s.m, s.f_word) for s in shadows]
+    assert [s.f_elt for s in enumerate_shadows(W)] == [block_sum(*[s.f_elt] * 40) for s in shadows]
+
+
 def test_commutator_closure_trips_the_cap_at_its_order(catalog7):
     cat13 = catalog7[13]
     q = cat13.data.f2_quotient
