@@ -189,7 +189,6 @@ def test_index_lookup(cat09):
             assert (Permutation(t) in H) == (Permutation(t) in H.elements_in_order)
 
 
-
 def test_membership_of_other_degrees(cat09):
     # a group keys its elements by their images at its own degree; any
     # other degree, narrow or wide, is simply not a member

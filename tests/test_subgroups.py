@@ -461,11 +461,11 @@ def test_realizations_enumerate_their_quotients_alike(catalog7, cat09, cat10):
             assert _index_view(K) == _index_view(N), (N.label, K.label)
 
 
-def test_a_wide_realization_runs_the_whole_pipeline():
+def test_a_wide_realization_runs_the_whole_pipeline(catalog4):
     # 40 copies of a degree-7 kernel: degree 280, past the byte-string
     # closure, so every quotient is enumerated on image tuples, with the
     # same indices, trees, tables and shadows as the narrow realization
-    N = catalog_search(4)[4]
+    N = catalog4[4]
     W = nfi_intersect([N] * 40)
     assert (W.degree, W.b3_quotient.order) == (280, 72)
     assert nfi_equal(W, N) and nfi_equal(N, W)
